@@ -129,26 +129,31 @@ class UpdateBatch:
         (a modification) is preserved as the ordered pair.  Repeated
         operations of the same kind on the same tid are collapsed to the
         last occurrence.
+
+        One pass, keyed by tid: each tid ends as nothing, ``[I]``, ``[D]``
+        or ``[D, I]``, each survivor at the position of the update that
+        last produced it, so the work is ``O(|delta-D|)``.
         """
-        surviving: list[Update] = []
-        for update in self._updates:
-            cancelled = False
+        updates = self._updates
+        keep = [False] * len(updates)
+        surviving_insert: dict[Any, int] = {}
+        surviving_delete: dict[Any, int] = {}
+        for i, update in enumerate(updates):
+            tid = update.tid
             if update.is_delete():
-                for i in range(len(surviving) - 1, -1, -1):
-                    prior = surviving[i]
-                    if prior.tid == update.tid:
-                        if prior.is_insert():
-                            del surviving[i]
-                            cancelled = True
-                        break
-            if not cancelled:
-                for i in range(len(surviving) - 1, -1, -1):
-                    prior = surviving[i]
-                    if prior.tid == update.tid and prior.kind == update.kind:
-                        del surviving[i]
-                        break
-                surviving.append(update)
-        return UpdateBatch(surviving)
+                j = surviving_insert.pop(tid, None)
+                if j is not None:
+                    keep[j] = False
+                    continue
+                same_kind = surviving_delete
+            else:
+                same_kind = surviving_insert
+            j = same_kind.get(tid)
+            if j is not None:
+                keep[j] = False
+            same_kind[tid] = i
+            keep[i] = True
+        return UpdateBatch(u for u, kept in zip(updates, keep) if kept)
 
     # -- application ------------------------------------------------------------------
 

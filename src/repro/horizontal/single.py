@@ -111,45 +111,47 @@ class GeneralCFDProtocol:
             home_site, target, MessageKind.CONTROL, payload, TID_BYTES, units=1, tag=tag
         )
 
+    def _class_violates(self, tids: set[Any]) -> bool:
+        """The violation status every member of a non-empty class shares."""
+        return self._violations.violates(next(iter(tids)), self._cfd.name)
+
     # -- insertion -------------------------------------------------------------------
 
     def insert(
         self, home_site: int, t: Tuple, mark: MarkFn, unmark: MarkFn
     ) -> None:
-        """Process the insertion of ``t`` at ``home_site``."""
+        """Process the insertion of ``t`` at ``home_site``.
+
+        Every member of an LHS group shares one violation status for a
+        variable CFD (the group violates iff it holds two RHS values), so
+        one member's mark stands for its whole local or remote group and
+        no group is scanned unless its members change status.
+        """
         cfd = self._cfd
         if not cfd.lhs_matches(t):
             return
         index = self._indices[home_site]
         key = index.lhs_key(t)
-        local_classes = index.classes(key)
+        local_classes = index.group(key)
         rhs_value = t[cfd.rhs]
-        same_class = local_classes.get(rhs_value, set())
-        diff_classes = {v: tids for v, tids in local_classes.items() if v != rhs_value}
+        same_class = local_classes.get(rhs_value)
+        has_diff = len(local_classes) > (1 if same_class else 0)
 
-        t_violates = False
         if same_class:
             # Local tuples share t's (X, B): t's status equals theirs, and no tuple
             # anywhere changes status, so no shipment is needed.
-            if diff_classes:
-                t_violates = True
-            else:
-                t_violates = any(
-                    self._violations.violates(tid, cfd.name) for tid in same_class
-                )
+            t_violates = has_diff or self._class_violates(same_class)
         else:
-            local_conflict_known = any(
-                self._violations.violates(tid, cfd.name)
-                for tids in diff_classes.values()
-                for tid in tids
+            # t's class is empty here, so every local member conflicts with t.
+            local_conflict_known = has_diff and self._class_violates(
+                next(iter(local_classes.values()))
             )
-            if diff_classes:
-                t_violates = True
+            t_violates = has_diff
+            if has_diff and not local_conflict_known:
                 # Existing local tuples that were not violations become ones now.
-                for tids in diff_classes.values():
+                for tids in local_classes.values():
                     for tid in tids:
-                        if not self._violations.violates(tid, cfd.name):
-                            mark(tid)
+                        mark(tid)
             if not local_conflict_known:
                 # Either there is no local conflict at all (t's status must be
                 # decided remotely) or the local conflict was not previously a
@@ -159,16 +161,15 @@ class GeneralCFDProtocol:
                 # a known violation, every other tuple that could conflict with
                 # t is a known violation too (Example 9 of the paper).
                 for target in self._broadcast(home_site, t, f"{cfd.name}:ins"):
-                    remote = self._indices[target]
-                    for value, tids in remote.classes(key).items():
+                    for value, tids in self._indices[target].group(key).items():
                         if value != rhs_value:
                             t_violates = True
-                            for tid in tids:
-                                if not self._violations.violates(tid, cfd.name):
+                            if not self._class_violates(tids):
+                                for tid in tids:
                                     mark(tid)
         if t_violates:
             mark(t.tid)
-        index.add_tuple(t)
+        index.add(key, rhs_value, t.tid)
 
     # -- deletion ----------------------------------------------------------------------
 
@@ -183,39 +184,35 @@ class GeneralCFDProtocol:
         key = index.lhs_key(t)
         rhs_value = t[cfd.rhs]
         was_violation = self._violations.violates(t.tid, cfd.name)
-        index.remove_tuple(t)
+        index.remove(key, rhs_value, t.tid)
         if not was_violation:
             # Deletions never create violations; a non-violating tuple leaves quietly.
             return
         unmark(t.tid)
 
-        if index.class_of(key, rhs_value):
+        local_classes = index.group(key)
+        if rhs_value in local_classes:
             # Other local tuples still carry t's (X, B) value: the global picture of
             # the group is unchanged, nothing else loses its violation status.
             return
 
         # t's class might now be empty globally; consult the other sites.
-        remaining_local = index.classes(key)
-        members_by_value: dict[Any, set[Any]] = {
-            value: set(tids) for value, tids in remaining_local.items()
-        }
-        remote_members_by_site: dict[int, dict[Any, set[Any]]] = {}
+        values = set(local_classes)
+        remote_groups: dict[int, Mapping[Any, set[Any]]] = {}
         for target in self._broadcast(home_site, t, f"{cfd.name}:del"):
-            remote = self._indices[target]
-            remote_classes = remote.classes(key)
-            remote_members_by_site[target] = remote_classes
-            for value, tids in remote_classes.items():
-                members_by_value.setdefault(value, set()).update(tids)
+            remote_groups[target] = self._indices[target].group(key)
+            values.update(remote_groups[target])
 
-        if rhs_value in members_by_value:
+        if rhs_value in values:
             # t's class survives at some other site: nothing else changes.
             return
-        if len(members_by_value) == 1:
+        if len(values) == 1:
             # The group is left with a single RHS value: its members no longer
             # violate the CFD.  Unmark them wherever they live.
-            ((_, tids),) = members_by_value.items()
-            for tid in tids:
-                unmark(tid)
-            for target, remote_classes in remote_members_by_site.items():
-                if any(remote_classes.values()):
+            for group in (local_classes, *remote_groups.values()):
+                for tids in group.values():
+                    for tid in tids:
+                        unmark(tid)
+            for target, group in remote_groups.items():
+                if group:
                     self._notify(home_site, target, {"unmark": key}, f"{cfd.name}:unmark")

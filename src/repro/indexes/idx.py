@@ -15,6 +15,7 @@ site the HEV plan assigns to the CFD).
 from __future__ import annotations
 
 from time import perf_counter
+from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Mapping
 
 from repro.core.cfd import CFD, UNNAMED
@@ -22,12 +23,24 @@ from repro.core.tuples import Tuple
 from repro.obs import profile as _prof
 
 
+#: What :meth:`CFDIndex.group` returns for a key with no tuples.
+_NO_GROUP: Mapping[Any, set[Any]] = MappingProxyType({})
+
+
 class IndexError_(RuntimeError):
     """Raised when the index is asked to remove an unknown tuple."""
 
 
 class CFDIndex:
-    """Group index for one variable CFD: LHS key -> {RHS value -> {tids}}."""
+    """Group index for one variable CFD: LHS key -> {RHS value -> {tids}}.
+
+    The incremental hot paths (``incVIns``/``incVDel`` and the
+    horizontal protocol) read a group through :meth:`group`, which hands
+    out the live ``{B value: tids}`` mapping without copying, so one
+    update costs the same whatever the size of its group.
+    :meth:`classes`, :meth:`class_of` and :meth:`groups` return copies;
+    they are the diagnostic API.
+    """
 
     def __init__(self, cfd: CFD):
         if cfd.is_constant():
@@ -67,11 +80,20 @@ class CFDIndex:
 
     # -- queries -----------------------------------------------------------------------
 
+    def group(self, lhs_key: tuple[Hashable, ...]) -> Mapping[Any, set[Any]]:
+        """The live ``{B value: tids}`` group of ``lhs_key``, without copying.
+
+        Constant time whatever the group's size.  The mapping and its tid
+        sets are the index's own: read them before the next
+        :meth:`add`/:meth:`remove` and never mutate them.
+        """
+        return self._groups.get(lhs_key, _NO_GROUP)
+
     def classes(self, lhs_key: tuple[Hashable, ...]) -> dict[Any, set[Any]]:
         """``set(t[X])``: distinct B values of the group, each with its tids.
 
-        The returned mapping is a shallow copy; mutating it does not
-        affect the index.
+        The returned mapping is a copy (diagnostics); mutating it does not
+        affect the index.  Hot paths read :meth:`group` instead.
         """
         group = self._groups.get(lhs_key, {})
         return {value: set(tids) for value, tids in group.items()}

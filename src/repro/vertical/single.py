@@ -4,7 +4,11 @@ These are the algorithms ``incVIns`` and ``incVDel`` of Fig. 4,
 expressed over the :class:`~repro.indexes.idx.CFDIndex` group index
 (``set(t[X])`` and ``[t]_{X ∪ {B}}`` in the paper's notation).  They
 return the per-CFD change to the violation set and maintain the index in
-the same pass; both take constant time per update.
+the same pass.  Both take constant time per update beyond the size of
+the change they return: they read ``t``'s group in place
+(:meth:`~repro.indexes.idx.CFDIndex.group`, no copy), look at how many
+RHS classes it has, and touch a class's tids only when those tids enter
+or leave the violation set.
 
 The routines are pure index/tuple logic: communication (which eqids are
 shipped to compute the IDX key) is accounted for separately by the HEV
@@ -36,7 +40,7 @@ def incremental_insert(index: CFDIndex, t: Tuple) -> set[Any]:
     if not index.applies_to(t):
         return set()
     key = index.lhs_key(t)
-    classes = index.classes(key)
+    classes = index.group(key)
     added: set[Any] = set()
     if len(classes) > 1:
         added.add(t.tid)
@@ -45,7 +49,7 @@ def incremental_insert(index: CFDIndex, t: Tuple) -> set[Any]:
         if existing_value != t[cfd.rhs]:
             added.add(t.tid)
             added.update(existing_tids)
-    index.add_tuple(t)
+    index.add(key, t[cfd.rhs], t.tid)
     return added
 
 
@@ -68,8 +72,8 @@ def incremental_delete(index: CFDIndex, t: Tuple) -> set[Any]:
     if not index.applies_to(t):
         return set()
     key = index.lhs_key(t)
-    classes = index.classes(key)
-    own_class = classes.get(t[cfd.rhs], set())
+    classes = index.group(key)
+    own_class = classes.get(t[cfd.rhs], ())
     if t.tid not in own_class:
         raise ValueError(
             f"tuple {t.tid!r} is not indexed for CFD {cfd.name!r}; cannot delete"
@@ -87,5 +91,5 @@ def incremental_delete(index: CFDIndex, t: Tuple) -> set[Any]:
             for value, tids in classes.items():
                 if value != t[cfd.rhs]:
                     removed.update(tids)
-    index.remove_tuple(t)
+    index.remove(key, t[cfd.rhs], t.tid)
     return removed

@@ -1,5 +1,7 @@
 """Tests for incHor: incremental detection over horizontal partitions."""
 
+import random
+
 import pytest
 
 from repro.core.cfd import CFD
@@ -7,6 +9,7 @@ from repro.core.detector import detect_violations
 from repro.core.updates import Update, UpdateBatch
 from repro.distributed.cluster import Cluster
 from repro.distributed.network import Network
+from repro.engine.session import session
 from repro.horizontal.inchor import HorizontalIncrementalDetector
 from repro.workloads.rules import generate_cfds
 from repro.workloads.tpch import TPCHGenerator
@@ -136,3 +139,84 @@ class TestEquivalenceWithCentralized:
         patched = old.copy()
         patched.apply(delta)
         assert patched == detect_violations(cfds, updates.apply_to(base))
+
+
+def _stream_with_pairs(generator, base, n_waves, seed):
+    """Generated waves plus same-tid modifications and cancelling insert/delete pairs.
+
+    Each pair's two halves land at random positions of the wave, in order.
+    """
+    rng = random.Random(seed)
+    current = base
+    next_fresh = 1_000_000
+    waves = []
+    for i in range(n_waves):
+        updates = list(generate_updates(current, generator, 40, seed=seed * 10 + i, skew=1.2))
+        touched = {u.tid for u in updates}
+        untouched = sorted(t.tid for t in current if t.tid not in touched)
+        donors = list(current)
+        pairs = []
+        for tid in rng.sample(untouched, 6):
+            old = current[tid]
+            attribute = rng.choice(["cregion", "taxcode", "shipband", "ptype"])
+            new = old.with_values(**{attribute: rng.choice(donors)[attribute]})
+            pairs.append((Update.delete(old), Update.insert(new)))
+        for fresh in generator.tuples(next_fresh, 4):
+            pairs.append((Update.insert(fresh), Update.delete(fresh)))
+        next_fresh += 4
+        for first, second in pairs:
+            at = rng.randrange(len(updates) + 1)
+            updates.insert(at, first)
+            updates.insert(rng.randrange(at + 1, len(updates) + 1), second)
+        wave = UpdateBatch(updates)
+        waves.append(wave)
+        current = wave.apply_to(current)
+    return waves
+
+
+class TestGroupStatusInvariant:
+    """Every member of an LHS group shares one violation status per variable CFD.
+
+    The protocol reads one member's mark in place of the whole group's,
+    so this must hold after every wave: per site (each IDX group) and
+    across sites (the global group, which violates iff it holds two RHS
+    values).
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("storage", ["rows", "columnar"])
+    def test_holds_after_every_wave(self, storage, seed):
+        generator = TPCHGenerator(seed=seed, error_rate=0.15)
+        cfds = generate_cfds(generator.fd_specs(), 8, seed=seed)
+        variable = [cfd for cfd in cfds if cfd.is_variable()]
+        base = generator.relation(200)
+        waves = _stream_with_pairs(generator, base, 4, seed)
+        with (
+            session(base)
+            .partition(generator.horizontal_partitioner(4))
+            .rules(cfds)
+            .strategy("incHor")
+            .storage(storage)
+            .build()
+        ) as sess:
+            current = base
+            for i, wave in enumerate(waves):
+                if i == 2:
+                    sess.rebalance()
+                sess.apply(wave)
+                current = wave.apply_to(current)
+                assert sess.violations == detect_violations(cfds, current)
+                detector = sess.detector._detector  # the strategy's HorizontalIncrementalDetector
+                for cfd in variable:
+                    statuses = {}
+                    for site in sess.deployment.site_ids():
+                        for key, group in detector.index_for(cfd.name, site).groups():
+                            site_status = {
+                                sess.violations.violates(tid, cfd.name)
+                                for tids in group.values()
+                                for tid in tids
+                            }
+                            assert len(site_status) == 1, (cfd.name, site, key)
+                            statuses.setdefault(key, set()).update(site_status)
+                    for key, status in statuses.items():
+                        assert len(status) == 1, (cfd.name, key)

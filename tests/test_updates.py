@@ -1,6 +1,8 @@
 """Tests for the update/delta model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.relation import Relation
 from repro.core.schema import Schema
@@ -99,6 +101,60 @@ class TestNormalization:
         assert len(normalized) == 1
         assert normalized[0].is_insert()
         assert normalized[0].tuple["a"] == "v2"
+
+
+def quadratic_normalized(updates):
+    """The original backward-scan normalization, kept verbatim as the oracle."""
+    surviving = []
+    for update in updates:
+        cancelled = False
+        if update.is_delete():
+            for i in range(len(surviving) - 1, -1, -1):
+                prior = surviving[i]
+                if prior.tid == update.tid:
+                    if prior.is_insert():
+                        del surviving[i]
+                        cancelled = True
+                    break
+        if not cancelled:
+            for i in range(len(surviving) - 1, -1, -1):
+                prior = surviving[i]
+                if prior.tid == update.tid and prior.kind == update.kind:
+                    del surviving[i]
+                    break
+            surviving.append(update)
+    return surviving
+
+
+#: ``1``, ``1.0`` and ``True`` are one tid under ``==``; normalization must
+#: keep treating them as one.
+_TID_POOL = st.sampled_from([1, 1.0, True, 2, 0, False, "a", "b", (1, 2)])
+
+_UPDATE = st.builds(
+    lambda is_insert, tid, value: (Update.insert if is_insert else Update.delete)(
+        row(tid, a=value)
+    ),
+    st.booleans(),
+    _TID_POOL,
+    st.integers(0, 3),
+)
+
+
+class TestNormalizationDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_UPDATE, max_size=40))
+    def test_matches_quadratic_oracle(self, updates):
+        normalized = list(UpdateBatch(updates).normalized())
+        expected = quadratic_normalized(updates)
+        # Same Update objects, in the same order.
+        assert [id(u) for u in normalized] == [id(u) for u in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_UPDATE, max_size=30))
+    def test_normalization_is_idempotent(self, updates):
+        once = list(UpdateBatch(updates).normalized())
+        twice = list(UpdateBatch(once).normalized())
+        assert [id(u) for u in twice] == [id(u) for u in once]
 
 
 class TestApplication:
