@@ -3,22 +3,25 @@
 A tableau-shaped rule set — 8 CFDs sharing 3 LHS attribute lists — is
 validated fused (one sweep per same-LHS group, shared grouped masks and
 verdict memos, one tagged SQL query per group) and per-rule, across the
-storage backends.  Three measurements, written to
-``BENCH_rule_fusion.json``:
+storage backends.  Fusion is the only rule path, so the per-rule
+baseline checks each rule as a fused group of size 1
+(``fused_columnar_masks(store, [cfd])``, ``fused_sql_violations(store,
+[cfd])``).  Three measurements, written to ``BENCH_rule_fusion.json``:
 
 * **Columnar speedup** — validation-only wall-clock of the fused
-  grouped-LHS pass vs one ``violation_mask`` call per rule, per database
-  size.  Gate (a): fused >= 2x faster at the largest swept size.
+  grouped-LHS pass vs one size-1 call per rule, per database size.
+  Gate (a): fused >= 2x faster at the largest swept size.
 
 * **SQL query count** — engine queries issued (``SqlStore.query_count``)
-  by the fused tagged-UNION formulation vs the per-rule kernels, plus
-  their wall-clock alongside.  Gate (b): fused issues >= 2x fewer
+  by the fused tagged-UNION formulation vs one size-1 query per rule,
+  plus their wall-clock alongside.  Gate (b): fused issues >= 2x fewer
   queries.
 
-* **End-to-end counter parity** — an ``incHor`` session streams the same
-  update batch fused and per-rule on rows, columnar and sql; the
-  violation sets, ΔV and every shipment counter must be identical.
-  Gate (c): any divergence fails.
+* **End-to-end wave parity** — an ``incHor`` session streams the same
+  update batch on rows, columnar and sql; each backend's violation sets
+  and ΔV must equal the naive per-rule oracle of ``tests/oracle.py``,
+  and the backends' violations, ΔV and shipment counters must be
+  identical to each other.  Gate (c): any divergence fails.
 
 Run directly: ``python benchmarks/bench_rule_fusion.py`` (``--sizes``
 and ``--rounds`` shrink or grow the sweep; ``--no-gate`` reports without
@@ -28,16 +31,20 @@ failing).
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import bench_utils as bu
-from repro.columnar import kernels as ck
 from repro.columnar.store import column_store_of
 from repro.core.cfd import CFD
+from repro.core.violations import diff_violations
 from repro.engine.session import session
 from repro.rulefuse import compile_rule_set, fused_columnar_masks, fused_sql_violations
-from repro.sqlstore import kernels as sk
 from repro.sqlstore import sql_store_of
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracle import naive_detect  # noqa: E402
 
 SIZES = (2000, 8000, 24000)
 PARITY_BASE = 400
@@ -88,6 +95,16 @@ def fusion_cfds() -> list[CFD]:
 # -- gate (a): columnar validation speedup ----------------------------------------------
 
 
+def per_rule_masks(store, cfds: list[CFD]) -> list[int]:
+    """The per-rule baseline: each rule checked as a fused group of size 1."""
+    return [fused_columnar_masks(store, [cfd])[0] for cfd in cfds]
+
+
+def per_rule_sql(store, cfds: list[CFD]) -> list[set]:
+    """The per-rule baseline: one size-1 tagged query per rule."""
+    return [fused_sql_violations(store, [cfd])[0] for cfd in cfds]
+
+
 def measure_columnar(n: int, cfds: list[CFD], rounds: int) -> dict:
     """Best-of-``rounds`` validation seconds, fused vs one pass per rule."""
     relation = bu.tpch_relation(n).with_storage("columnar")
@@ -95,7 +112,7 @@ def measure_columnar(n: int, cfds: list[CFD], rounds: int) -> dict:
     # Warm the shared pattern-test encodings so neither side pays the
     # one-off compilation inside the timed region.
     fused_masks = fused_columnar_masks(store, cfds)
-    rule_masks = [ck.violation_mask(cfd, store) for cfd in cfds]
+    rule_masks = per_rule_masks(store, cfds)
     assert fused_masks == rule_masks, "fused columnar masks diverge from per-rule"
 
     best = {"fused": float("inf"), "per_rule": float("inf")}
@@ -105,7 +122,7 @@ def measure_columnar(n: int, cfds: list[CFD], rounds: int) -> dict:
         best["fused"] = min(best["fused"], time.perf_counter() - start)
 
         start = time.perf_counter()
-        rule_masks = [ck.violation_mask(cfd, store) for cfd in cfds]
+        rule_masks = per_rule_masks(store, cfds)
         best["per_rule"] = min(best["per_rule"], time.perf_counter() - start)
 
         assert fused_masks == rule_masks
@@ -121,15 +138,14 @@ def measure_sql(n: int, cfds: list[CFD], rounds: int) -> dict:
     store = sql_store_of(relation)
     # Warm the statement cache; count queries on a steady-state round.
     fused = fused_sql_violations(store, cfds)
-    per_rule = [set(sk.violations_of(cfd, store)) for cfd in cfds]
-    assert [set(v) for v in fused] == per_rule, "fused SQL violations diverge"
+    per_rule = per_rule_sql(store, cfds)
+    assert fused == per_rule, "fused SQL violations diverge"
 
     before = store.query_count
     fused_sql_violations(store, cfds)
     fused_queries = store.query_count - before
     before = store.query_count
-    for cfd in cfds:
-        sk.violations_of(cfd, store)
+    per_rule_sql(store, cfds)
     per_rule_queries = store.query_count - before
 
     best = {"fused": float("inf"), "per_rule": float("inf")}
@@ -138,55 +154,62 @@ def measure_sql(n: int, cfds: list[CFD], rounds: int) -> dict:
         fused_sql_violations(store, cfds)
         best["fused"] = min(best["fused"], time.perf_counter() - start)
         start = time.perf_counter()
-        for cfd in cfds:
-            sk.violations_of(cfd, store)
+        per_rule_sql(store, cfds)
         best["per_rule"] = min(best["per_rule"], time.perf_counter() - start)
     best["fused_queries"] = fused_queries
     best["per_rule_queries"] = per_rule_queries
     return best
 
 
-# -- gate (c): end-to-end counter parity ------------------------------------------------
+# -- gate (c): end-to-end wave parity ---------------------------------------------------
 
 
 def measure_parity(cfds: list[CFD]) -> tuple[list[dict], list[str]]:
-    """Stream one update wave fused and per-rule on every backend."""
+    """Stream one update wave on every backend; compare to the oracle and
+    across backends."""
     generator = bu.tpch()
     relation = bu.tpch_relation(PARITY_BASE)
     updates = bu.tpch_updates(PARITY_BASE, PARITY_UPDATES, insert_fraction=0.6)
-    records, failures = [], []
+    before = naive_detect(cfds, relation)
+    after = naive_detect(cfds, updates.apply_to(relation))
+    delta = diff_violations(before, after)
+    expected = {
+        "violations": after.as_dict(),
+        "added": delta.added,
+        "removed": delta.removed,
+    }
+    records, failures, outcomes = [], [], {}
     for storage in ("rows", "columnar", "sql"):
-        outcomes = {}
-        for fusion in (True, False):
-            sess = (
-                session(relation)
-                .partition(generator.horizontal_partitioner(PARITY_SITES))
-                .rules(cfds)
-                .strategy("incHor")
-                .storage(storage)
-                .rule_fusion(fusion)
-                .build()
-            )
-            delta = sess.apply(updates)
-            stats = sess.network.stats()
-            outcomes[fusion] = {
-                "violations": sess.violations.as_dict(),
-                "added": delta.added,
-                "removed": delta.removed,
-                "bytes": stats.bytes,
-                "messages": stats.messages,
-                "units_by_kind": {str(k): v for k, v in stats.units_by_kind.items()},
-            }
-            sess.close()
-        identical = outcomes[True] == outcomes[False]
+        sess = (
+            session(relation)
+            .partition(generator.horizontal_partitioner(PARITY_SITES))
+            .rules(cfds)
+            .strategy("incHor")
+            .storage(storage)
+            .build()
+        )
+        delta = sess.apply(updates)
+        stats = sess.network.stats()
+        outcome = outcomes[storage] = {
+            "violations": sess.violations.as_dict(),
+            "added": delta.added,
+            "removed": delta.removed,
+            "bytes": stats.bytes,
+            "messages": stats.messages,
+            "units_by_kind": {str(k): v for k, v in stats.units_by_kind.items()},
+        }
+        sess.close()
+        identical = {key: outcome[key] for key in expected} == expected
         records.append({
             "kind": "parity", "storage": storage, "identical": identical,
-            "violating_tuples": len(outcomes[True]["violations"]),
-            "bytes": outcomes[True]["bytes"],
-            "messages": outcomes[True]["messages"],
+            "violating_tuples": len(outcome["violations"]),
+            "bytes": outcome["bytes"],
+            "messages": outcome["messages"],
         })
         if not identical:
-            failures.append(f"{storage}: fused outcome diverges from per-rule")
+            failures.append(f"{storage}: wave outcome diverges from the oracle")
+        if outcome != outcomes["rows"]:
+            failures.append(f"{storage}: wave outcome or counters diverge from rows")
     return records, failures
 
 
@@ -251,7 +274,7 @@ def main(argv=None):
             f"the {GATE_QUERY_FACTOR:.1f}x gate"
         )
 
-    print("end-to-end counter parity (incHor, one wave per backend):")
+    print("end-to-end wave parity (incHor, one wave per backend, vs oracle):")
     parity_records, parity_failures = measure_parity(cfds)
     records.extend(parity_records)
     failures.extend(parity_failures)

@@ -6,6 +6,9 @@ Three measurements, one gate each, written to ``BENCH_sql_pushdown.json``:
   the ``batHor``/``batVer`` site tasks run (constant WHERE filters and
   the grouped two-query variable formulation) executed inside SQLite
   versus fetching every row out of SQLite into the Python row path.
+  Both sides check one rule at a time, as a fused group of size 1
+  (``fused_sql_violations(store, [cfd])`` vs
+  ``fused_rows_violations([cfd], rows)``).
   Gate (a): >=2x faster at the largest swept size.  The batVer-style
   shipment scans (pattern-filtered projections) are reported alongside;
   they are decode-bound, so their win is smaller.
@@ -38,9 +41,9 @@ from pathlib import Path
 
 import bench_utils as bu
 from repro.core.cfd import UNNAMED
-from repro.core.detector import CentralizedDetector
 from repro.distributed.serialization import estimate_tuple_bytes
 from repro.engine.session import session
+from repro.rulefuse import fused_rows_violations, fused_sql_violations, fused_violations
 from repro.sqlstore import kernels, sql_store_of
 
 SIZES = (2000, 6000, 12000)
@@ -74,19 +77,18 @@ def measure_pushdown(n, cfds, rounds):
     """Best-of-``rounds`` seconds for checks and scans, pushed vs fetched."""
     rel_sql = bu.tpch_relation(n).with_storage("sql")
     store = sql_store_of(rel_sql)
-    det = CentralizedDetector(list(cfds))
     specs = _ship_specs(cfds)
 
     # Warm the statement caches so the sweep times steady-state checks.
     for cfd in cfds:
-        kernels.violations_of(cfd, store)
+        fused_sql_violations(store, [cfd])
 
     best = {"check_push": float("inf"), "check_fetch": float("inf"),
             "scan_push": float("inf"), "scan_fetch": float("inf")}
     push_checks = fetch_checks = None
     for _ in range(rounds):
         start = time.perf_counter()
-        push_checks = [kernels.violations_of(cfd, store) for cfd in cfds]
+        push_checks = [fused_sql_violations(store, [cfd])[0] for cfd in cfds]
         best["check_push"] = min(best["check_push"], time.perf_counter() - start)
 
         start = time.perf_counter()
@@ -98,7 +100,7 @@ def measure_pushdown(n, cfds, rounds):
 
         start = time.perf_counter()
         rows = list(rel_sql)  # fetch every tuple out of the engine
-        fetch_checks = [det.violations_of(cfd, rows) for cfd in cfds]
+        fetch_checks = [fused_rows_violations([cfd], rows)[0] for cfd in cfds]
         best["check_fetch"] = min(best["check_fetch"], time.perf_counter() - start)
 
         start = time.perf_counter()
@@ -135,9 +137,8 @@ def child_main(backend: str, n_rows: int, directory: str) -> int:
     for start in range(1, n_rows + 1, RSS_CHUNK):
         for t in generator.tuples(start, min(RSS_CHUNK, n_rows + 1 - start)):
             relation.insert(t)
-    detector = CentralizedDetector(list(bu.tpch_cfds(N_CFDS)))
     n_violations = sum(
-        len(detector.violations_of(cfd, relation)) for cfd in bu.tpch_cfds(N_CFDS)
+        len(tids) for tids in fused_violations(bu.tpch_cfds(N_CFDS), relation)
     )
     print(json.dumps({
         "backend": backend,

@@ -1,15 +1,17 @@
-"""Vectorized CFD detection kernels over a :class:`ColumnStore`.
+"""Vectorized IDX-build and shipment-scan kernels over a :class:`ColumnStore`.
 
-Every kernel is the column-sweep equivalent of a tuple-at-a-time loop
-somewhere in the detectors, and produces *bit-identical* results: the
-dictionary encoding preserves ``==`` semantics, so grouping rows by code
-keys partitions them exactly like grouping tuples by value keys, and the
-cached per-code wire sizes reproduce ``estimate_tuple_bytes`` byte for
-byte.  The shared primitive is :meth:`ColumnStore.grouped_rows` — the
-LHS equivalence classes of a relation are computed once per attribute
-list and reused by every CFD over those attributes (constant checks,
-variable checks, IDX builds and shipment scans alike), instead of once
-per tuple per CFD as in the row backend.
+Violation checks live in :mod:`repro.rulefuse.kernels` (one
+grouped-LHS pass per fused rule group, reusing the compiled pattern
+tests below).  Every kernel here is the column-sweep equivalent of a
+tuple-at-a-time loop somewhere in the detectors, and produces
+*bit-identical* results: the dictionary encoding preserves ``==``
+semantics, so grouping rows by code keys partitions them exactly like
+grouping tuples by value keys, and the cached per-code wire sizes
+reproduce ``estimate_tuple_bytes`` byte for byte.  The shared primitive
+is :meth:`ColumnStore.grouped_rows` — the LHS equivalence classes of a
+relation are computed once per attribute list and reused by every CFD
+over those attributes (IDX builds and shipment scans alike), instead of
+once per tuple per CFD as in the row backend.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from weakref import WeakKeyDictionary
 
 from repro.core.cfd import CFD, UNNAMED
 from repro.distributed.serialization import TID_BYTES
-from repro.columnar.masks import mask_to_tids
 from repro.columnar.store import ColumnStore
 from repro.obs import profile as _prof
 
@@ -109,102 +110,6 @@ def _matching_group_items(
         for key, rows in groups.items()
         if all(key[i] == code for i, code in tests)
     )
-
-
-def _matching_group_masks(store: ColumnStore, cfd: CFD) -> Iterable[int]:
-    """The row bitsets of the LHS groups matching the pattern constants."""
-    lhs = cfd.lhs
-    masks = store.grouped_masks(lhs)
-    tests = _pattern_tests(store, cfd)
-    if tests is _UNSATISFIABLE:
-        return ()
-    if not tests:
-        return masks.values()
-    if len(lhs) == 1:
-        mask = masks.get(tests[0][1])
-        return (mask,) if mask is not None else ()
-    return (
-        mask
-        for key, mask in masks.items()
-        if all(key[i] == code for i, code in tests)
-    )
-
-
-# -- violation kernels (CentralizedDetector.violations_of equivalents) ---------------
-
-
-def constant_violation_mask(cfd: CFD, store: ColumnStore) -> int:
-    """``V(phi, D)`` for a constant CFD, as a row bitset.
-
-    Rows matching the LHS pattern are OR-ed into one bitset; subtracting
-    the (cached, shared across CFDs on the same RHS) mask of rows that
-    already carry the required RHS code leaves exactly the violating rows
-    — no per-tuple set is built at all.
-    """
-    if _prof.enabled:
-        _t0 = perf_counter()
-    matching = 0
-    for mask in _matching_group_masks(store, cfd):
-        matching |= mask
-    bad = 0
-    if matching:
-        rhs_code = store.dictionary(cfd.rhs).code_of(cfd.pattern.entry(cfd.rhs))
-        if rhs_code is None:
-            bad = matching  # the required constant never occurs: all match rows violate
-        else:
-            bad = matching & ~store.grouped_masks((cfd.rhs,)).get(rhs_code, 0)
-    if _prof.enabled:
-        _prof.note("columnar.constant_sweep", perf_counter() - _t0, len(store))
-    return bad
-
-
-def variable_violation_mask(cfd: CFD, store: ColumnStore) -> int:
-    """``V(phi, D)`` for a variable CFD, as a row bitset: groups holding
-    more than one distinct RHS code.
-
-    A group is clean iff its bitset is contained in the bitset of a
-    single RHS code (``group & ~rhs_mask == 0``): two big-int ops per
-    group against the cached per-code RHS masks, accumulating violating
-    groups into one bitset.
-    """
-    if _prof.enabled:
-        _t0 = perf_counter()
-    rhs_col = store.codes(cfd.rhs)
-    rhs_masks = store.grouped_masks((cfd.rhs,))
-    bad = 0
-    for mask in _matching_group_masks(store, cfd):
-        if mask.bit_count() < 2:
-            continue
-        first_row = (mask & -mask).bit_length() - 1
-        if mask & ~rhs_masks.get(rhs_col[first_row], 0):
-            bad |= mask
-    if _prof.enabled:
-        _prof.note("columnar.variable_sweep", perf_counter() - _t0, len(store))
-    return bad
-
-
-def violation_mask(cfd: CFD, store: ColumnStore) -> int:
-    """``V(phi, D)`` for one CFD as a row bitset (the compact wire form:
-    a warm worker returns this and the coordinator decodes it against
-    its own copy of the fragment)."""
-    if cfd.is_constant():
-        return constant_violation_mask(cfd, store)
-    return variable_violation_mask(cfd, store)
-
-
-def constant_violations(cfd: CFD, store: ColumnStore) -> set[Any]:
-    """``V(phi, D)`` for a constant CFD, decoded to tids."""
-    return mask_to_tids(store, constant_violation_mask(cfd, store))
-
-
-def variable_violations(cfd: CFD, store: ColumnStore) -> set[Any]:
-    """``V(phi, D)`` for a variable CFD, decoded to tids."""
-    return mask_to_tids(store, variable_violation_mask(cfd, store))
-
-
-def violations_of(cfd: CFD, store: ColumnStore) -> set[Any]:
-    """``V(phi, D)`` for one CFD — the columnar twin of the row-backend scan."""
-    return mask_to_tids(store, violation_mask(cfd, store))
 
 
 # -- bulk index construction -----------------------------------------------------------

@@ -2,8 +2,11 @@
 
 For a centralized database the paper notes that two SQL queries suffice
 to find ``V(Sigma, D)`` (one for the constant part, one for the variable
-part of each tableau).  :class:`CentralizedDetector` is the in-memory
-equivalent and serves two roles in this repository:
+part of each tableau).  A tableau is one embedded FD with many pattern
+rows, which is exactly a fused same-LHS rule group
+(:func:`repro.rulefuse.compile_rule_set`), so
+:class:`CentralizedDetector` checks one fused group per pass on every
+storage backend.  It serves two roles in this repository:
 
 * the *correctness reference* against which both distributed incremental
   detectors are checked (property tests compare their results tuple for
@@ -14,18 +17,12 @@ equivalent and serves two roles in this repository:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Iterable
 
 from repro.core.cfd import CFD
 from repro.core.relation import Relation
 from repro.core.tuples import Tuple
 from repro.core.violations import ViolationSet
-
-
-def _cfd_violations_task(cfd: CFD, tuples: list[Tuple]) -> set[Any]:
-    """``V(phi, D)`` for one CFD — the pure unit the scheduler fans out."""
-    return CentralizedDetector.violations_of(cfd, tuples)
 
 
 def _fused_group_task(cfds: list[CFD], tuples: list[Tuple]) -> list[set[Any]]:
@@ -43,131 +40,56 @@ class CentralizedDetector:
     """Batch detector for a set of CFDs over an in-memory relation.
 
     With a :class:`~repro.runtime.scheduler.SiteScheduler`, ``detect``
-    fans the checks out as independent tasks — one per fused same-LHS
-    rule group by default, one per CFD with ``fusion=False``; without
-    one it runs the plain serial loop (the default, used by the many
-    setup paths that just need the reference violation set).  Fusion
-    changes how many passes the data sees, never the verdicts: fused
-    results are violation-identical to the per-rule path.
+    fans the checks out as independent tasks, one per fused same-LHS
+    rule group; without one it makes a single
+    :func:`~repro.rulefuse.fused_violations` call (the default, used by
+    the many setup paths that just need the reference violation set).
     """
 
-    def __init__(
-        self, cfds: Iterable[CFD], scheduler: Any = None, fusion: bool = True
-    ):
+    def __init__(self, cfds: Iterable[CFD], scheduler: Any = None):
         self._cfds = list(cfds)
         self._scheduler = scheduler
-        self._fusion = fusion
 
     @property
     def cfds(self) -> list[CFD]:
         return list(self._cfds)
 
-    # -- per-CFD detection -------------------------------------------------------
-
-    @staticmethod
-    def violations_of(cfd: CFD, tuples: Iterable[Tuple]) -> set[Any]:
-        """``V(phi, D)`` as a set of tids, for one CFD over arbitrary tuples.
-
-        Constant CFDs are violated by single tuples whose LHS matches
-        the pattern but whose RHS value differs from the constant.  For
-        variable CFDs, group tuples whose LHS matches the pattern by
-        their LHS values; every group holding two or more distinct RHS
-        values consists entirely of violations.
-
-        Column-backed relations dispatch to the vectorized kernels
-        (identical results, one column sweep shared per LHS); SQL-backed
-        relations push the check down as the constant/variable two-query
-        formulation and run inside the embedded engine.
-        """
-        from repro.columnar.store import column_store_of
-        from repro.sqlstore.store import sql_store_of
-
-        store = column_store_of(tuples)
-        if store is not None:
-            from repro.columnar import kernels
-
-            return kernels.violations_of(cfd, store)
-        sql_store = sql_store_of(tuples)
-        if sql_store is not None:
-            from repro.sqlstore import kernels as sql_kernels
-
-            return sql_kernels.violations_of(cfd, sql_store)
-        violating: set[Any] = set()
-        if cfd.is_constant():
-            for t in tuples:
-                if cfd.single_tuple_violation(t):
-                    violating.add(t.tid)
-            return violating
-
-        groups: dict[tuple[Any, ...], dict[Any, set[Any]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
-        for t in tuples:
-            if cfd.lhs_matches(t):
-                groups[cfd.lhs_values(t)][t[cfd.rhs]].add(t.tid)
-        for by_rhs in groups.values():
-            if len(by_rhs) > 1:
-                for tids in by_rhs.values():
-                    violating.update(tids)
-        return violating
-
-    # -- full detection -------------------------------------------------------------
-
     def detect(self, relation: Relation | Iterable[Tuple]) -> ViolationSet:
         """Compute ``V(Sigma, D)`` with per-CFD marks."""
         from repro.columnar.store import column_store_of
+        from repro.rulefuse import compile_rule_set, fused_violations
         from repro.sqlstore.store import sql_store_of
 
-        # Columnar relations are handed to the tasks whole: the kernels
-        # share one grouped-LHS sweep across all CFDs on the same
-        # attributes instead of materializing tuples.  SQL-backed
-        # relations likewise stay whole so every check runs as a
-        # pushed-down query instead of a fetched-row loop.
+        # Columnar and SQL-backed relations are handed to the kernels
+        # whole: the columnar sweep shares one grouped-LHS pass per
+        # group, and the SQL check runs as one pushed-down query per
+        # group instead of a fetched-row loop.
         if column_store_of(relation) is not None or sql_store_of(relation) is not None:
             tuples: Any = relation
         else:
             tuples = list(relation)
         violations = ViolationSet()
-        fused = self._fusion and len(self._cfds) > 1
-        if self._scheduler is not None:
-            from repro.runtime.executor import SiteTask
-
-            if fused:
-                from repro.rulefuse import compile_rule_set
-
-                groups = compile_rule_set(self._cfds)
-                tasks = [
-                    SiteTask(
-                        i,
-                        _fused_group_task,
-                        (list(group.members), tuples),
-                        label="fused:" + ",".join(group.lhs),
-                    )
-                    for i, group in enumerate(groups)
-                ]
-                for group, result in zip(groups, self._scheduler.run(tasks)):
-                    for cfd, tids in zip(group.members, result.value):
-                        for tid in tids:
-                            violations.add(tid, cfd.name)
-                return violations
-            tasks = [
-                SiteTask(i, _cfd_violations_task, (cfd, tuples), label=cfd.name)
-                for i, cfd in enumerate(self._cfds)
-            ]
-            for cfd, result in zip(self._cfds, self._scheduler.run(tasks)):
-                for tid in result.value:
-                    violations.add(tid, cfd.name)
-            return violations
-        if fused:
-            from repro.rulefuse import fused_violations
-
+        if self._scheduler is None:
             for cfd, tids in zip(self._cfds, fused_violations(self._cfds, tuples)):
                 for tid in tids:
                     violations.add(tid, cfd.name)
             return violations
-        for cfd in self._cfds:
-            for tid in self.violations_of(cfd, tuples):
-                violations.add(tid, cfd.name)
+        from repro.runtime.executor import SiteTask
+
+        groups = compile_rule_set(self._cfds)
+        tasks = [
+            SiteTask(
+                i,
+                _fused_group_task,
+                (list(group.members), tuples),
+                label="fused:" + ",".join(group.lhs),
+            )
+            for i, group in enumerate(groups)
+        ]
+        for group, result in zip(groups, self._scheduler.run(tasks)):
+            for cfd, tids in zip(group.members, result.value):
+                for tid in tids:
+                    violations.add(tid, cfd.name)
         return violations
 
 

@@ -178,8 +178,9 @@ class SQLDetector:
 
         The queries report violating tids per tableau; marks for the
         individual CFDs of the tableau are recovered by re-checking which
-        pattern rows the tuple actually falls under (cheap: the tableau's
-        CFDs share the embedded FD).
+        pattern rows the tuple actually falls under.  The tableau's CFDs
+        share the embedded FD, so that re-check is one fused pass
+        (:func:`~repro.rulefuse.fused_violations`).
         """
         schema = relation.schema
         violations = ViolationSet()
@@ -195,10 +196,10 @@ class SQLDetector:
                 if not flagged:
                     continue
                 cfds = [c for c in self._cfds if c.lhs == tableau.lhs and c.rhs == tableau.rhs]
-                from repro.core.detector import CentralizedDetector
+                from repro.rulefuse import fused_violations
 
-                for cfd in cfds:
-                    for tid in CentralizedDetector.violations_of(cfd, relation):
+                for cfd, tids in zip(cfds, fused_violations(cfds, relation)):
+                    for tid in tids:
                         if tid in flagged:
                             violations.add(tid, cfd.name)
         return violations

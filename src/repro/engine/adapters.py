@@ -102,13 +102,11 @@ class VerticalIncrementalStrategy(_BaseStrategy):
         plan: HEVPlan | None = None,
         optimize: bool = False,
         beam_width: int = 4,
-        fusion: bool = True,
     ):
         super().__init__()
         self._plan = plan
         self._optimize = optimize
         self._beam_width = beam_width
-        self._fusion = fusion
         self._detector: VerticalIncrementalDetector | None = None
 
     def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
@@ -120,7 +118,7 @@ class VerticalIncrementalStrategy(_BaseStrategy):
                 partitioner, ReplicationScheme(partitioner), beam_width=self._beam_width
             )
         self._detector = VerticalIncrementalDetector(
-            cluster, rules, plan=self._plan, planner=planner, fusion=self._fusion
+            cluster, rules, plan=self._plan, planner=planner
         )
         self.deployment = cluster
         return self._detector.violations
@@ -195,7 +193,6 @@ class VerticalIncrementalStrategy(_BaseStrategy):
             plan=self._plan,
             planner=planner,
             violations=state.violations,
-            fusion=self._fusion,
         )
         self.deployment = cluster
         return self._detector.violations
@@ -204,16 +201,15 @@ class VerticalIncrementalStrategy(_BaseStrategy):
 class HorizontalIncrementalStrategy(_BaseStrategy):
     """``incHor`` (Fig. 8)."""
 
-    def __init__(self, use_md5: bool = True, fusion: bool = True):
+    def __init__(self, use_md5: bool = True):
         super().__init__()
         self._use_md5 = use_md5
-        self._fusion = fusion
         self._detector: HorizontalIncrementalDetector | None = None
 
     def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
         cluster = _require_horizontal(deployment)
         self._detector = HorizontalIncrementalDetector(
-            cluster, rules, use_md5=self._use_md5, fusion=self._fusion
+            cluster, rules, use_md5=self._use_md5
         )
         self.deployment = cluster
         return self._detector.violations
@@ -263,7 +259,6 @@ class HorizontalIncrementalStrategy(_BaseStrategy):
             rules,
             violations=state.violations,
             use_md5=self._use_md5,
-            fusion=self._fusion,
         )
         self.deployment = cluster
         return self._detector.violations
@@ -281,10 +276,9 @@ class _BatchRedetectStrategy(_BaseStrategy):
     batch to batch; only the re-detection itself is charged.
     """
 
-    def __init__(self, fusion: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._rules: list[CFD] = []
-        self._fusion = fusion
         self._violations = ViolationSet()
 
     def _detect(self) -> ViolationSet:  # pragma: no cover - abstract
@@ -355,9 +349,7 @@ class VerticalBatchStrategy(_BatchRedetectStrategy):
         )
 
     def _detect(self) -> ViolationSet:
-        return VerticalBatchDetector(
-            self.deployment, self._rules, fusion=self._fusion
-        ).detect()
+        return VerticalBatchDetector(self.deployment, self._rules).detect()
 
     def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
         """Full recomputation: ``O(|D (+) delta-D|)`` shipment and scans."""
@@ -383,9 +375,7 @@ class HorizontalBatchStrategy(_BatchRedetectStrategy):
         )
 
     def _detect(self) -> ViolationSet:
-        return HorizontalBatchDetector(
-            self.deployment, self._rules, fusion=self._fusion
-        ).detect()
+        return HorizontalBatchDetector(self.deployment, self._rules).detect()
 
     def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
         """Full recomputation: ``O(|D (+) delta-D|)`` shipment and scans."""
@@ -400,10 +390,9 @@ class ImprovedVerticalBatchStrategy(_BaseStrategy):
     actually measures — are charged to the strategy's network.
     """
 
-    def __init__(self, plan: HEVPlan | None = None, fusion: bool = True):
+    def __init__(self, plan: HEVPlan | None = None):
         super().__init__()
         self._plan = plan
-        self._fusion = fusion
         self._detector: ImprovedVerticalBatchDetector | None = None
         self._base: Relation | None = None
         self._violations = ViolationSet()
@@ -412,11 +401,9 @@ class ImprovedVerticalBatchStrategy(_BaseStrategy):
         cluster = _require_vertical(deployment)
         self._base = cluster.reconstruct()
         self._detector = ImprovedVerticalBatchDetector(
-            cluster.vertical_partitioner, rules, plan=self._plan, fusion=self._fusion
+            cluster.vertical_partitioner, rules, plan=self._plan
         )
-        self._violations = CentralizedDetector(
-            list(rules), fusion=self._fusion
-        ).detect(self._base)
+        self._violations = CentralizedDetector(list(rules)).detect(self._base)
         self.deployment = cluster
         return self._violations
 
@@ -464,7 +451,6 @@ class ImprovedVerticalBatchStrategy(_BaseStrategy):
             cluster.vertical_partitioner,
             rules,
             network=cluster.network,
-            fusion=self._fusion,
         )
 
     def export_state(self) -> StrategyState:
@@ -483,7 +469,6 @@ class ImprovedVerticalBatchStrategy(_BaseStrategy):
             rules,
             plan=self._plan,
             network=cluster.network,
-            fusion=self._fusion,
         )
         self._violations = state.violations.copy()
         self.deployment = cluster
@@ -493,10 +478,9 @@ class ImprovedVerticalBatchStrategy(_BaseStrategy):
 class ImprovedHorizontalBatchStrategy(_BaseStrategy):
     """``ibatHor`` (Exp-10): the horizontal flavour of the improved baseline."""
 
-    def __init__(self, use_md5: bool = True, fusion: bool = True):
+    def __init__(self, use_md5: bool = True):
         super().__init__()
         self._use_md5 = use_md5
-        self._fusion = fusion
         self._detector: ImprovedHorizontalBatchDetector | None = None
         self._base: Relation | None = None
         self._violations = ViolationSet()
@@ -508,11 +492,8 @@ class ImprovedHorizontalBatchStrategy(_BaseStrategy):
             cluster.horizontal_partitioner,
             rules,
             use_md5=self._use_md5,
-            fusion=self._fusion,
         )
-        self._violations = CentralizedDetector(
-            list(rules), fusion=self._fusion
-        ).detect(self._base)
+        self._violations = CentralizedDetector(list(rules)).detect(self._base)
         self.deployment = cluster
         return self._violations
 
@@ -555,7 +536,6 @@ class ImprovedHorizontalBatchStrategy(_BaseStrategy):
             rules,
             use_md5=self._use_md5,
             network=cluster.network,
-            fusion=self._fusion,
         )
 
     def export_state(self) -> StrategyState:
@@ -574,7 +554,6 @@ class ImprovedHorizontalBatchStrategy(_BaseStrategy):
             rules,
             use_md5=self._use_md5,
             network=cluster.network,
-            fusion=self._fusion,
         )
         self._violations = state.violations.copy()
         self.deployment = cluster
@@ -587,18 +566,15 @@ class ImprovedHorizontalBatchStrategy(_BaseStrategy):
 class CentralizedStrategy(_BaseStrategy):
     """The SQL-style centralized reference detector, re-run per batch."""
 
-    def __init__(self, fusion: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._fusion = fusion
         self._detector: CentralizedDetector | None = None
         self._violations = ViolationSet()
         self._owns_relation = False
 
     def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
         store = _require_single(deployment)
-        self._detector = CentralizedDetector(
-            rules, scheduler=store.scheduler, fusion=self._fusion
-        )
+        self._detector = CentralizedDetector(rules, scheduler=store.scheduler)
         self._violations = self._detector.detect(store.relation)
         self.deployment = store
         self._owns_relation = False
@@ -640,9 +616,7 @@ class CentralizedStrategy(_BaseStrategy):
         store = _require_single(state.deployment)
         if state.relation is not None:
             store.relation = state.relation
-        self._detector = CentralizedDetector(
-            rules, scheduler=store.scheduler, fusion=self._fusion
-        )
+        self._detector = CentralizedDetector(rules, scheduler=store.scheduler)
         self._violations = state.violations.copy()
         self.deployment = store
         self._owns_relation = False

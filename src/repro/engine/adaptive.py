@@ -21,7 +21,6 @@ planner switches back.  Planning consults only local statistics, so
 
 from __future__ import annotations
 
-import inspect
 import time
 from itertools import islice
 from typing import Any, Iterable
@@ -41,23 +40,6 @@ from repro.stats.collector import BatchProfile, StatsCatalog
 
 class AdaptiveStrategyError(RuntimeError):
     """Raised on invalid adaptive configurations or use before setup."""
-
-
-def accepts_fusion(factory: Any) -> bool:
-    """True when a strategy factory takes a ``fusion`` option.
-
-    The rule-fusion toggle is forwarded only to factories that declare
-    it (or ``**kwargs``): MD strategies and user-registered factories
-    with closed signatures keep working untouched.
-    """
-    try:
-        params = inspect.signature(factory).parameters.values()
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return any(
-        p.name == "fusion" or p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in params
-    )
 
 
 class AdaptiveStrategy:
@@ -106,7 +88,6 @@ class AdaptiveStrategy:
         probe: bool = True,
         probe_size: int = 8,
         backends: Iterable[str] | None = None,
-        fusion: bool = True,
     ):
         self.deployment: Any = None
         self._registry = registry
@@ -115,7 +96,6 @@ class AdaptiveStrategy:
         self._message_overhead = message_overhead
         self._probe = probe
         self._probe_size = max(1, probe_size)
-        self._fusion = fusion
         self._backends_spec = list(backends) if backends is not None else None
         self._backend: str | None = None
         self._instances: dict[str, Any] = {}
@@ -183,10 +163,7 @@ class AdaptiveStrategy:
                     f"candidate {name!r} checks {entry.rules} rules but the "
                     f"session rules are {rule_kind}"
                 )
-            if accepts_fusion(entry.factory):
-                strategy = entry.create(fusion=self._fusion)
-            else:
-                strategy = entry.create()
+            strategy = entry.create()
             self._instances[name] = strategy
             hook = getattr(strategy, "cost_estimate", None)
             if hook is None:
@@ -202,7 +179,6 @@ class AdaptiveStrategy:
             n_sites=n_sites,
             vertical_partitioner=vertical,
             alpha=self._alpha,
-            fusion=self._fusion,
         )
         self._planner = AdaptivePlanner(
             catalog, hooks, message_overhead=self._message_overhead
@@ -304,10 +280,7 @@ class AdaptiveStrategy:
 
             for name in names:
                 entry = registry.detector(name)
-                if accepts_fusion(entry.factory):
-                    strategy = entry.create(fusion=self._fusion)
-                else:
-                    strategy = entry.create()
+                strategy = entry.create()
                 try:
                     strategy.setup(scratch, self._rules)
                 except Exception:

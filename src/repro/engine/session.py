@@ -35,7 +35,6 @@ from repro.core.updates import Update, UpdateBatch
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.distributed.cluster import Cluster
 from repro.distributed.network import Network, NetworkStats
-from repro.engine.adaptive import accepts_fusion
 from repro.engine.protocol import Detector, SingleSite
 from repro.obs import Observability
 from repro.obs import profile as _prof
@@ -92,7 +91,6 @@ class SessionBuilder:
         self._rebalance_policy: RebalancePolicy | None = None
         self._observability: Observability | None = None
         self._session_name: str | None = None
-        self._rule_fusion = True
 
     # -- configuration ----------------------------------------------------------------
 
@@ -144,20 +142,6 @@ class SessionBuilder:
         """
         self._strategy_name = name
         self._strategy_options = dict(options)
-        return self
-
-    def rule_fusion(self, enabled: bool = True) -> "SessionBuilder":
-        """Toggle fused rule-set compilation (on by default).
-
-        With fusion on, rules sharing an LHS attribute list compile into
-        one fused group per list and every check sweeps the data once
-        per *group* instead of once per *rule* — identical violations,
-        ΔV and shipment counters, less local work.  Pass ``False`` to
-        run the per-rule paths (e.g. to benchmark fusion itself, or to
-        isolate one rule's scan in a profile).  An explicit
-        ``strategy(..., fusion=...)`` option wins over this toggle.
-        """
-        self._rule_fusion = bool(enabled)
         return self
 
     def network(self, network: Network) -> "SessionBuilder":
@@ -342,11 +326,6 @@ class SessionBuilder:
             # Adaptive strategies resolve their candidate detectors from
             # the same registry the session was configured with.
             options["registry"] = self._registry
-        if "fusion" not in options and accepts_fusion(entry.factory):
-            # Strategies that understand fused rule-set compilation get
-            # the session's toggle; rule languages without a fused path
-            # (the MD detectors) are left alone.
-            options["fusion"] = self._rule_fusion
         try:
             detector = entry.create(**options)
         except TypeError as exc:
@@ -405,7 +384,6 @@ class SessionBuilder:
             observability=obs,
             root_span=root,
             name=name,
-            rule_fusion=bool(options.get("fusion", self._rule_fusion)),
         )
         if tracing and build_span is not None and net_before is not None:
             # Exact ledger delta for setup: what the shared network saw,
@@ -447,7 +425,6 @@ class DetectionSession:
         observability: Observability | None = None,
         root_span: Span | None = None,
         name: str | None = None,
-        rule_fusion: bool = True,
     ):
         self._entry = entry
         self._detector = detector
@@ -471,7 +448,6 @@ class DetectionSession:
         self._avg_tuple_bytes: float | None = None
         self._obs = observability
         self._root_span = root_span
-        self._rule_fusion = rule_fusion
         self._name = name or f"session-{next(_SESSION_IDS)}"
         if self._obs is not None:
             self._obs.metrics.register_collector(
@@ -1126,10 +1102,10 @@ class DetectionSession:
         return info
 
     def _rule_fusion_info(self) -> dict[str, Any]:
-        """The ``explain()["rule_fusion"]`` section: the toggle plus the
-        fused group structure of the session's rule set (CFDs only —
-        matching dependencies have no fused path)."""
-        info: dict[str, Any] = {"enabled": self._rule_fusion}
+        """The ``explain()["rule_fusion"]`` section: the fused group
+        structure of the session's rule set (CFDs only — matching
+        dependencies have no fused path)."""
+        info: dict[str, Any] = {}
         if self._rules and all(isinstance(rule, CFD) for rule in self._rules):
             from repro.rulefuse import compile_rule_set
 

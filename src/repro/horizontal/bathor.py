@@ -25,7 +25,6 @@ from time import perf_counter
 from typing import Any, Iterable
 
 from repro.core.cfd import CFD, UNNAMED, is_locally_checkable, split_local_general
-from repro.core.detector import CentralizedDetector
 from repro.core.tuples import Tuple
 from repro.core.violations import ViolationSet
 from repro.distributed.cluster import Cluster
@@ -40,7 +39,6 @@ def _site_batch_task(
     general_cfds: list[CFD],
     ship_names: frozenset[str],
     tuples: "list[Tuple] | Any",
-    fusion: bool = True,
 ) -> tuple[list, dict[str, list[tuple[Any, int]]], dict, bool]:
     """One site's whole batch-detection contribution (pure, picklable).
 
@@ -52,7 +50,7 @@ def _site_batch_task(
     Returns ``(local_violations, shipments, groups, compact)``:
 
     * per locally-checkable CFD, the tids violating it inside this
-      fragment;
+      fragment (one fused pass per same-LHS group);
     * per general CFD this site must ship for, the ``(tid, bytes)`` of
       every locally pattern-matching tuple;
     * per general CFD, the fragment's partial LHS groups
@@ -72,6 +70,7 @@ def _site_batch_task(
     proportional to the *changes*, not the database.
     """
     from repro.columnar.store import column_store_of
+    from repro.rulefuse import fused_columnar_masks, fused_violations
     from repro.sqlstore.store import sql_store_of
 
     shipments: dict[str, list[tuple[Any, int]]] = {}
@@ -80,19 +79,10 @@ def _site_batch_task(
     if store is not None:
         from repro.columnar import kernels
 
-        if fusion and len(local_cfds) > 1:
-            from repro.rulefuse import fused_columnar_masks
-
-            local_masks = [
-                (cfd.name, mask)
-                for cfd, mask in zip(
-                    local_cfds, fused_columnar_masks(store, local_cfds)
-                )
-            ]
-        else:
-            local_masks = [
-                (cfd.name, kernels.violation_mask(cfd, store)) for cfd in local_cfds
-            ]
+        local_masks = [
+            (cfd.name, mask)
+            for cfd, mask in zip(local_cfds, fused_columnar_masks(store, local_cfds))
+        ]
         for cfd in general_cfds:
             want_ship = cfd.name in ship_names
             ship, by_key = kernels.horizontal_batch_scan(
@@ -102,26 +92,16 @@ def _site_batch_task(
                 shipments[cfd.name] = ship
             groups[cfd.name] = by_key
         return local_masks, shipments, groups, True
+    local_violations = [
+        (cfd.name, tids)
+        for cfd, tids in zip(local_cfds, fused_violations(local_cfds, tuples))
+    ]
     sql_store = sql_store_of(tuples)
     if sql_store is not None:
         # SQL-backed fragments run every scan as a pushed-down query
         # and return the same decoded wire shapes as the row path.
         from repro.sqlstore import kernels as sql_kernels
 
-        if fusion and len(local_cfds) > 1:
-            from repro.rulefuse import fused_sql_violations
-
-            local_violations = [
-                (cfd.name, tids)
-                for cfd, tids in zip(
-                    local_cfds, fused_sql_violations(sql_store, local_cfds)
-                )
-            ]
-        else:
-            local_violations = [
-                (cfd.name, sql_kernels.violations_of(cfd, sql_store))
-                for cfd in local_cfds
-            ]
         for cfd in general_cfds:
             want_ship = cfd.name in ship_names
             ship, by_key = sql_kernels.horizontal_batch_scan(
@@ -131,18 +111,6 @@ def _site_batch_task(
                 shipments[cfd.name] = ship
             groups[cfd.name] = by_key
         return local_violations, shipments, groups, False
-    if fusion and len(local_cfds) > 1:
-        from repro.rulefuse import fused_rows_violations
-
-        local_violations = [
-            (cfd.name, tids)
-            for cfd, tids in zip(local_cfds, fused_rows_violations(local_cfds, tuples))
-        ]
-    else:
-        local_violations = [
-            (cfd.name, CentralizedDetector.violations_of(cfd, tuples))
-            for cfd in local_cfds
-        ]
     if _prof.enabled:
         _t0 = perf_counter()
     for cfd in general_cfds:
@@ -166,14 +134,13 @@ def _site_batch_task(
 class HorizontalBatchDetector:
     """Recompute ``V(Sigma, D)`` over a horizontally partitioned cluster."""
 
-    def __init__(self, cluster: Cluster, cfds: Iterable[CFD], fusion: bool = True):
+    def __init__(self, cluster: Cluster, cfds: Iterable[CFD]):
         if not cluster.is_horizontal():
             raise ValueError("HorizontalBatchDetector requires a horizontal cluster")
         self._cluster = cluster
         self._network = cluster.network
         self._partitioner = cluster.horizontal_partitioner
         self._cfds = list(cfds)
-        self._fusion = fusion
         for cfd in self._cfds:
             cfd.validate_against(self._partitioner.schema)
         self._local_cfds, self._general_cfds = split_local_general(
@@ -227,7 +194,6 @@ class HorizontalBatchDetector:
                     if column_store_of(site.fragment) is not None
                     or sql_store_of(site.fragment) is not None
                     else list(site.fragment),
-                    self._fusion,
                 ),
                 label="batHor",
             )

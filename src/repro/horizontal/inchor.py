@@ -77,7 +77,6 @@ class HorizontalIncrementalDetector:
         cfds: Iterable[CFD],
         violations: ViolationSet | None = None,
         use_md5: bool = True,
-        fusion: bool = True,
     ):
         if not cluster.is_horizontal():
             raise ValueError("HorizontalIncrementalDetector requires a horizontal cluster")
@@ -85,7 +84,6 @@ class HorizontalIncrementalDetector:
         self._network = cluster.network
         self._partitioner = cluster.horizontal_partitioner
         self._cfds = list(cfds)
-        self._fusion = fusion
         schema = self._partitioner.schema
         for cfd in self._cfds:
             cfd.validate_against(schema)
@@ -93,31 +91,26 @@ class HorizontalIncrementalDetector:
 
         self._classify()
 
-        # Per-site local indices for every variable CFD (setup phase).
-        # With fusion, each site's fragment is swept once per fused LHS
-        # group instead of once per CFD.
+        # Per-site local indices for every variable CFD (setup phase):
+        # each site's fragment is swept once per fused LHS group.
+        from repro.rulefuse import build_indexes
+
         variable_cfds = self._local_cfds + self._general_cfds
         self._site_indices: dict[str, dict[int, CFDIndex]] = {
             cfd.name: {} for cfd in variable_cfds
         }
         for site in cluster.sites():
             indexes = [CFDIndex(cfd) for cfd in variable_cfds]
-            if self._fusion:
-                from repro.rulefuse import build_indexes
-
-                build_indexes(indexes, site.fragment)
-            else:
-                for index in indexes:
-                    index.build_from(site.fragment)
+            build_indexes(indexes, site.fragment)
             for cfd, index in zip(variable_cfds, indexes):
                 self._site_indices[cfd.name][site.site_id] = index
 
         if violations is not None:
             self._violations = violations.copy()
         else:
-            self._violations = CentralizedDetector(
-                self._cfds, fusion=self._fusion
-            ).detect(cluster.reconstruct())
+            self._violations = CentralizedDetector(self._cfds).detect(
+                cluster.reconstruct()
+            )
 
         self._bind_protocols()
 

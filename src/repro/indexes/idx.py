@@ -38,8 +38,8 @@ class CFDIndex:
     horizontal protocol) read a group through :meth:`group`, which hands
     out the live ``{B value: tids}`` mapping without copying, so one
     update costs the same whatever the size of its group.
-    :meth:`classes`, :meth:`class_of` and :meth:`groups` return copies;
-    they are the diagnostic API.
+    :meth:`groups` iterates the same live mappings for every key.  Both
+    are read-only views; a caller that needs a copy makes one.
     """
 
     def __init__(self, cfd: CFD):
@@ -89,31 +89,14 @@ class CFDIndex:
         """
         return self._groups.get(lhs_key, _NO_GROUP)
 
-    def classes(self, lhs_key: tuple[Hashable, ...]) -> dict[Any, set[Any]]:
-        """``set(t[X])``: distinct B values of the group, each with its tids.
+    def groups(self) -> Iterable[tuple[tuple[Hashable, ...], Mapping[Any, set[Any]]]]:
+        """The live ``(lhs_key, {B value: tids})`` pairs of every group.
 
-        The returned mapping is a copy (diagnostics); mutating it does not
-        affect the index.  Hot paths read :meth:`group` instead.
+        A view over the index's own mappings, like :meth:`group`:
+        iterate it before the next :meth:`add`/:meth:`remove` and never
+        mutate what it yields.
         """
-        group = self._groups.get(lhs_key, {})
-        return {value: set(tids) for value, tids in group.items()}
-
-    def class_count(self, lhs_key: tuple[Hashable, ...]) -> int:
-        """``|set(t[X])|``: how many distinct B values the group holds."""
-        return len(self._groups.get(lhs_key, ()))
-
-    def class_of(self, lhs_key: tuple[Hashable, ...], rhs_value: Any) -> set[Any]:
-        """``[t]_{X ∪ {B}}``: the tids sharing both the LHS key and the B value."""
-        return set(self._groups.get(lhs_key, {}).get(rhs_value, ()))
-
-    def group_size(self, lhs_key: tuple[Hashable, ...]) -> int:
-        """Total number of tuples in the LHS group."""
-        return sum(len(tids) for tids in self._groups.get(lhs_key, {}).values())
-
-    def groups(self) -> Iterable[tuple[tuple[Hashable, ...], dict[Any, set[Any]]]]:
-        """Iterate over (lhs_key, {rhs_value: tids}) pairs (diagnostics/tests)."""
-        for key, group in self._groups.items():
-            yield key, {value: set(tids) for value, tids in group.items()}
+        return self._groups.items()
 
     def __len__(self) -> int:
         """Number of LHS groups currently indexed."""

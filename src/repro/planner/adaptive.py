@@ -36,7 +36,7 @@ class PlanDecision:
     backend: str | None = None
     #: Rule-set shape the estimates were priced against: how many rules
     #: the session checks and how many fused same-LHS groups they
-    #: compile to (equal when fusion is off or no LHS lists repeat).
+    #: compile to (equal when no LHS lists repeat).
     rule_groups: dict[str, int] | None = None
 
     def as_dict(self) -> dict[str, Any]:

@@ -68,11 +68,11 @@ def _block_factor(stats: StatsCatalog) -> float:
 def _n_scans(stats: StatsCatalog) -> int:
     """How many data sweeps validation pays: fused groups, else rules.
 
-    With rule fusion the local work of a check scales with the number
-    of fused same-LHS groups, not the number of rules (a tableau of k
-    pattern rows costs one sweep).  Shipment priors stay rule-based —
-    fusion never changes what ships.  ``n_groups`` is 0 on profiles
-    built before fusion existed, falling back to ``n_rules``.
+    The local work of a check scales with the number of fused same-LHS
+    groups, not the number of rules (a tableau of k pattern rows costs
+    one sweep).  Shipment priors stay rule-based — grouping never
+    changes what ships.  A hand-built profile that leaves ``n_groups``
+    at 0 falls back to ``n_rules``.
     """
     return stats.rules.n_groups or stats.rules.n_rules
 

@@ -1,14 +1,16 @@
 """One-pass multi-CFD validation kernels, per storage backend.
 
-Each kernel here is the fused-group equivalent of calling a per-rule
-kernel once per CFD, and produces *identical* results:
+These are the only violation kernels: a rule set is compiled into
+fused same-LHS groups (:func:`~repro.rulefuse.compiler.compile_rule_set`)
+and every check sweeps the data once per *group*; a rule that shares
+its LHS with no other is a group of size 1 and takes the same loops.
+Per backend:
 
 * columnar — one grouped-LHS pass per fused group: the group keys (and
   their row bitsets) are fetched once, each member rule accepts keys
   through its precompiled pattern-constant code tests, constant members
-  accumulate matching-row bitsets, and variable members share the
-  per-group verdict work (popcount, first row, per-RHS-attribute
-  dirty check) instead of re-deriving it per rule;
+  accumulate matching-row bitsets, and variable members share one
+  dirty-key scan per RHS attribute instead of re-deriving it per rule;
 * SQL — one tagged query per fused group
   (:func:`repro.sqlstore.compiler.fused_violation_query`): the
   per-member results come back in a single result set and split by the
@@ -37,8 +39,7 @@ def _member_group_masks(
     grouped: dict, tests: Any, single: bool
 ) -> Iterable[tuple[Any, int]]:
     """The ``(key, mask)`` LHS groups one member's pattern constants accept
-    (the fused twin of ``_matching_group_masks``, keys included so the
-    shared verdict memos can be keyed)."""
+    (keys included so the shared verdict memos can be keyed)."""
     if not tests:
         return grouped.items()
     if single:
@@ -55,9 +56,10 @@ def _member_group_masks(
 def fused_group_masks(store: Any, group: FusedGroup) -> list[int]:
     """Violation bitsets for every member of one fused group.
 
-    Bit-identical to calling :func:`repro.columnar.kernels.violation_mask`
-    per member, but the variable members never walk the per-group
-    verdict loop at all.  A group violates a variable CFD iff its LHS
+    Constant members OR together the row bitsets of the LHS groups
+    their pattern accepts and drop the rows already carrying the
+    required RHS code.  Variable members never walk a per-group verdict
+    loop at all.  A group violates a variable CFD iff its LHS
     key splits into more than one key of the ``(*lhs, rhs)`` grouping —
     so one pass over the *extended* group keys finds the dirty LHS keys
     (an O(#keys) prefix count, no bigint algebra), and only the dirty
@@ -70,8 +72,6 @@ def fused_group_masks(store: Any, group: FusedGroup) -> list[int]:
     from repro.columnar import kernels as ck
 
     members = group.members
-    if len(members) == 1:
-        return [ck.violation_mask(members[0], store)]
     if _prof.enabled:
         _t0 = perf_counter()
     lhs = group.lhs
@@ -237,10 +237,10 @@ def fused_rows_violations(cfds: Sequence[CFD], tuples: Iterable[Any]) -> list[se
 def fused_violations(cfds: Iterable[CFD], tuples: Any) -> list[set[Any]]:
     """``V(phi, D)`` for every rule of a set, one pass per fused group.
 
-    The fused twin of calling
-    :meth:`~repro.core.detector.CentralizedDetector.violations_of` per
-    rule: returns the violation sets aligned with the input rule order,
-    with identical contents on every backend.
+    The single violation entry point: returns the violation sets
+    aligned with the input rule order, with identical contents on every
+    backend (columnar bitsets decoded to tids, SQL tagged queries, or
+    one scan over row-backed tuples).
     """
     cfds = list(cfds)
     if not cfds:

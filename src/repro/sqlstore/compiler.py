@@ -4,11 +4,13 @@ For a centralized database the paper observes that two SQL queries per
 tableau suffice to find ``V(Sigma, D)``: one ``WHERE`` filter for the
 constant patterns and one grouped query for the variable patterns.
 This module emits exactly those shapes against a
-:class:`~repro.sqlstore.store.SqlStore`'s ``data`` table:
+:class:`~repro.sqlstore.store.SqlStore`'s ``data`` table, as the
+branches of one tagged query per fused same-LHS rule group
+(:func:`fused_violation_query`; a tableau is one such group):
 
-* constant CFDs: ``SELECT tid WHERE <lhs pattern> AND rhs IS NOT ?`` —
-  a single null-safe filter, no grouping;
-* variable CFDs: a grouped subquery over the LHS with
+* constant members: ``SELECT tid WHERE <lhs pattern> AND rhs IS NOT ?``
+  — a single null-safe filter, no grouping;
+* variable members: a grouped subquery over the LHS with
   ``HAVING COUNT(DISTINCT rhs) + (COUNT(*) > COUNT(rhs)) > 1`` (the
   ``COUNT(*)`` term counts NULL as one extra distinct value, matching
   Python's ``None`` dict key), joined back null-safely to enumerate the
@@ -16,7 +18,7 @@ This module emits exactly those shapes against a
 * IDX builds and shipment scans: the pattern filter plus the projection
   the caller needs, grouped in Python from the (small) filtered result.
 
-Every query is compiled once per (store, rule) through the store's
+Every query is compiled once per store and query shape through the store's
 ``cached_sql`` cache and parameterized — constants travel as bind
 parameters encoded with the store's value encoding, never as SQL text.
 Dialect differences (sqlite ``IS`` vs DuckDB ``IS NOT DISTINCT FROM``)
@@ -54,64 +56,25 @@ def pattern_filter(
     return " AND ".join(clauses) or "1 = 1", tuple(params)
 
 
-def constant_violation_query(store: SqlStore, cfd: CFD) -> tuple[str, tuple[Any, ...]]:
-    """``V(phi, D)`` for a constant CFD: one pushed-down WHERE filter."""
-    where, params = pattern_filter(store, cfd)
-    rhs = store.column(cfd.rhs)
-
-    def build() -> str:
-        return (
-            f"SELECT tid FROM data WHERE {where} "
-            f"AND {rhs} {store.dialect.neq} ? ORDER BY seq"
-        )
-
-    key = ("const", cfd.lhs, cfd.rhs, tuple(a for a, _ in pattern_constants(cfd)))
-    sql = store.cached_sql(key, build)
-    return sql, (*params, store.encode(cfd.pattern.entry(cfd.rhs)))
-
-
-def variable_violation_query(store: SqlStore, cfd: CFD) -> tuple[str, tuple[Any, ...]]:
-    """``V(phi, D)`` for a variable CFD: the grouped two-query formulation.
-
-    The subquery finds the LHS groups holding more than one distinct RHS
-    value among the pattern-matching tuples; the join re-enumerates the
-    member tids.  Both parts repeat the pattern filter, so the
-    parameters appear twice.
-    """
-    lhs_cols = [store.column(a) for a in cfd.lhs]
-    rhs = store.column(cfd.rhs)
-    eq = store.dialect.eq
-    where, params = pattern_filter(store, cfd)
-    where_d, _ = pattern_filter(store, cfd, alias="d")
-
-    def build() -> str:
-        keys = ", ".join(f"{c} AS k{i}" for i, c in enumerate(lhs_cols))
-        group_by = ", ".join(lhs_cols)
-        on = " AND ".join(f"d.{c} {eq} g.k{i}" for i, c in enumerate(lhs_cols))
-        return (
-            f"SELECT d.tid FROM data d JOIN ("
-            f"SELECT {keys} FROM data WHERE {where} GROUP BY {group_by} "
-            f"HAVING COUNT(DISTINCT {rhs}) + (COUNT(*) > COUNT({rhs})) > 1"
-            f") g ON {on} WHERE {where_d} ORDER BY d.seq"
-        )
-
-    key = ("var", cfd.lhs, cfd.rhs, tuple(a for a, _ in pattern_constants(cfd)))
-    sql = store.cached_sql(key, build)
-    return sql, (*params, *params)
-
-
 def fused_violation_query(
     store: SqlStore, cfds: Sequence[CFD]
 ) -> tuple[str, tuple[Any, ...]]:
     """One tagged query for a whole fused rule group.
 
-    Each member contributes one ``UNION ALL`` branch — the constant or
-    variable shape above, prefixed with its position in ``cfds`` as a
-    literal ``rule`` tag column so the caller can split the shared
-    result set back into per-rule violation sets.  Branches drop the
-    ``ORDER BY`` (compound-select members must not carry one; the
-    results are sets).  One engine round-trip replaces one query per
-    rule, and the engine shares the table scan across branches.
+    Each member contributes one ``UNION ALL`` branch, prefixed with its
+    position in ``cfds`` as a literal ``rule`` tag column so the caller
+    can split the shared result set back into per-rule violation sets:
+
+    * a constant member selects the tids whose LHS matches the pattern
+      and whose RHS differs null-safely from the pattern constant;
+    * a variable member joins the pattern-matching tuples back to the
+      LHS groups holding more than one distinct RHS value (NULL counts
+      as one more value, matching Python's ``None`` dict key).
+
+    Branches carry no ``ORDER BY`` (compound-select members must not;
+    the results are sets).  One engine round-trip serves the whole
+    group, and the engine shares the table scan across branches.  A
+    single-rule group is a one-branch query.
     """
     parts: list[str] = []
     params: list[Any] = []

@@ -1,7 +1,9 @@
-"""Pushed-down CFD detection kernels over a :class:`SqlStore`.
+"""Pushed-down IDX-build and shipment-scan kernels over a :class:`SqlStore`.
 
-Every kernel is the SQL equivalent of a tuple-at-a-time loop somewhere
-in the detectors and produces *identical* results: the store's value
+Violation checks live in :mod:`repro.rulefuse.kernels` (one tagged
+query per fused rule group).  Every kernel here is the SQL equivalent
+of a tuple-at-a-time loop somewhere in the detectors and produces
+*identical* results: the store's value
 encoding preserves Python equality inside the engine, so filtering and
 grouping rows in SQL partitions them exactly like the row backend's
 dict grouping, and the decoded projections reproduce
@@ -23,38 +25,6 @@ from repro.distributed.serialization import TID_BYTES, estimate_value_bytes
 from repro.obs import profile as _prof
 from repro.sqlstore import compiler
 from repro.sqlstore.store import SqlStore, decode_value
-
-# -- violation kernels (CentralizedDetector.violations_of equivalents) ---------------
-
-
-def constant_violations(cfd: CFD, store: SqlStore) -> set[Any]:
-    """``V(phi, D)`` for a constant CFD: one pushed-down WHERE filter."""
-    if _prof.enabled:
-        _t0 = perf_counter()
-    sql, params = compiler.constant_violation_query(store, cfd)
-    out = {decode_value(tid) for (tid,) in store.query_all(sql, params)}
-    if _prof.enabled:
-        _prof.note("sql.constant_query", perf_counter() - _t0, len(store))
-    return out
-
-
-def variable_violations(cfd: CFD, store: SqlStore) -> set[Any]:
-    """``V(phi, D)`` for a variable CFD: the grouped two-query formulation."""
-    if _prof.enabled:
-        _t0 = perf_counter()
-    sql, params = compiler.variable_violation_query(store, cfd)
-    out = {decode_value(tid) for (tid,) in store.query_all(sql, params)}
-    if _prof.enabled:
-        _prof.note("sql.variable_query", perf_counter() - _t0, len(store))
-    return out
-
-
-def violations_of(cfd: CFD, store: SqlStore) -> set[Any]:
-    """``V(phi, D)`` for one CFD — the SQL twin of the row-backend scan."""
-    if cfd.is_constant():
-        return constant_violations(cfd, store)
-    return variable_violations(cfd, store)
-
 
 # -- bulk index construction -----------------------------------------------------------
 

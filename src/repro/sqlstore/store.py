@@ -34,9 +34,9 @@ Layout and semantics:
 * inserts buffer in Python and apply with one ``executemany`` inside
   one transaction per wave — any read flushes first — matching the
   "batched delta apply" the update batches need;
-* per-rule compiled SQL is cached on the store (and the connection
-  keeps a large prepared-statement cache), so a CFD checked every wave
-  compiles once.
+* compiled SQL is cached on the store per query shape (and the
+  connection keeps a large prepared-statement cache), so a rule group
+  checked every wave compiles once.
 """
 
 from __future__ import annotations
@@ -468,8 +468,8 @@ class SqlStore:
     # -- compiled-SQL cache --------------------------------------------------------------
 
     def cached_sql(self, key: Any, build: Callable[[], str]) -> str:
-        """The per-rule compiled SQL cache (text; the connection keeps
-        the actual prepared statements)."""
+        """The compiled SQL cache, keyed by query shape (text; the
+        connection keeps the actual prepared statements)."""
         sql = self._sql_cache.get(key)
         if sql is None:
             self._cache_misses += 1

@@ -194,9 +194,8 @@ class RuleProfile:
     ``n_groups`` is the number of fused same-LHS rule groups the
     rule-fusion compiler produces — the number of data sweeps a fused
     validation pays, which is what the local-work estimators scale
-    with.  It equals ``n_rules`` when fusion is off (or for MD rule
-    sets, which fuse nothing) and can be much smaller for tableau-style
-    rule sets.
+    with.  It equals ``n_rules`` for MD rule sets (which fuse nothing)
+    and can be much smaller for tableau-style rule sets.
     """
 
     n_rules: int
@@ -212,7 +211,6 @@ class RuleProfile:
         cls,
         rules: Iterable[Any],
         vertical_partitioner: Any = None,
-        fusion: bool = True,
     ) -> "RuleProfile":
         rules = list(rules)
         from repro.similarity.md import MatchingDependency
@@ -242,12 +240,8 @@ class RuleProfile:
             else:
                 n_general += 1
                 lhs_sizes.append(len(cfd.lhs))
-        if fusion:
-            from repro.rulefuse import n_fused_groups
+        from repro.rulefuse import n_fused_groups
 
-            n_groups = n_fused_groups(rules)
-        else:
-            n_groups = len(rules)
         return cls(
             n_rules=len(rules),
             n_constant=n_constant,
@@ -255,7 +249,7 @@ class RuleProfile:
             n_general=n_general,
             avg_lhs=sum(lhs_sizes) / len(lhs_sizes) if lhs_sizes else 1.0,
             kind="cfd",
-            n_groups=n_groups,
+            n_groups=n_fused_groups(rules),
         )
 
 
@@ -428,11 +422,10 @@ class StatsCatalog:
         vertical_partitioner: Any = None,
         n_violations: int = 0,
         alpha: float = 0.3,
-        fusion: bool = True,
     ) -> "StatsCatalog":
         return cls(
             relation=RelationStats.collect(relation),
-            rules=RuleProfile.of(rules, vertical_partitioner, fusion=fusion),
+            rules=RuleProfile.of(rules, vertical_partitioner),
             partitioning=partitioning,
             n_sites=n_sites,
             n_violations=n_violations,

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.core.cfd import CFD, UNNAMED
-from repro.core.detector import CentralizedDetector
 from repro.core.tuples import Tuple
 from repro.core.violations import ViolationSet
 from repro.distributed.cluster import Cluster
@@ -94,35 +93,28 @@ def _site_ship_task(
     return shipments
 
 
-def _check_cfds_task(
-    cfds: list[CFD], tuples: "list[Tuple] | Any", fusion: bool = True
-) -> list[set[Any]]:
+def _check_cfds_task(cfds: list[CFD], tuples: "list[Tuple] | Any") -> list[set[Any]]:
     """``V(phi, D)`` for each CFD checked at one coordinator site (pure).
 
     Bundling a site's CFDs into one task ships the snapshot across the
-    process backend's pickle boundary once per site, not once per CFD.
-    With fusion (the default) the bundled CFDs are further compiled into
-    same-LHS groups and validated one pass per group; results stay
-    violation-identical to the per-rule loop on every backend.
+    process backend's pickle boundary once per site, not once per CFD;
+    the bundle is validated one fused pass per same-LHS group.
     """
-    if fusion and len(cfds) > 1:
-        from repro.rulefuse import fused_violations
+    from repro.rulefuse import fused_violations
 
-        return fused_violations(cfds, tuples)
-    return [CentralizedDetector.violations_of(cfd, tuples) for cfd in cfds]
+    return fused_violations(cfds, tuples)
 
 
 class VerticalBatchDetector:
     """Recompute ``V(Sigma, D)`` over a vertically partitioned cluster."""
 
-    def __init__(self, cluster: Cluster, cfds: Iterable[CFD], fusion: bool = True):
+    def __init__(self, cluster: Cluster, cfds: Iterable[CFD]):
         if not cluster.is_vertical():
             raise ValueError("VerticalBatchDetector requires a vertical cluster")
         self._cluster = cluster
         self._network = cluster.network
         self._partitioner = cluster.vertical_partitioner
         self._cfds = list(cfds)
-        self._fusion = fusion
         for cfd in self._cfds:
             cfd.validate_against(self._partitioner.schema)
 
@@ -255,7 +247,7 @@ class VerticalBatchDetector:
             SiteTask(
                 site,
                 _check_cfds_task,
-                (cfds, snapshot, self._fusion),
+                (cfds, snapshot),
                 label="batVer:check",
             )
             for site, cfds in sorted(by_check_site.items())

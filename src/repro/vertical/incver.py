@@ -71,7 +71,6 @@ class VerticalIncrementalDetector:
         plan: HEVPlan | None = None,
         planner: HEVPlanner | None = None,
         violations: ViolationSet | None = None,
-        fusion: bool = True,
     ):
         if not cluster.is_vertical():
             raise ValueError("VerticalIncrementalDetector requires a vertical cluster")
@@ -79,7 +78,6 @@ class VerticalIncrementalDetector:
         self._network = cluster.network
         self._partitioner = cluster.vertical_partitioner
         self._cfds = list(cfds)
-        self._fusion = fusion
         schema = self._partitioner.schema
         for cfd in self._cfds:
             cfd.validate_against(schema)
@@ -107,22 +105,16 @@ class VerticalIncrementalDetector:
             index = CFDIndex(cfd)
             self._indices[cfd.name] = index
             indexes.append(index)
-        if self._fusion:
-            # One sweep of the snapshot per fused LHS group builds every
-            # same-LHS index at once.
-            from repro.rulefuse import build_indexes
+        # One sweep of the snapshot per fused LHS group builds every
+        # same-LHS index at once.
+        from repro.rulefuse import build_indexes
 
-            build_indexes(indexes, snapshot)
-        else:
-            for index in indexes:
-                index.build_from(snapshot)
+        build_indexes(indexes, snapshot)
 
         if violations is not None:
             self._violations = violations.copy()
         else:
-            self._violations = CentralizedDetector(
-                self._cfds, fusion=self._fusion
-            ).detect(snapshot)
+            self._violations = CentralizedDetector(self._cfds).detect(snapshot)
 
         self._constant_coordinator = {
             cfd.name: self._partitioner.home_site(cfd.rhs) for cfd in self._constant_cfds

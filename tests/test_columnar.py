@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.columnar import ColumnStore, ValueDictionary, column_store_of, kernels
+from repro.columnar import ValueDictionary, column_store_of
 from repro.core.cfd import CFD
 from repro.core.detector import CentralizedDetector
 from repro.core.relation import Relation, RelationError
@@ -20,6 +20,9 @@ from repro.distributed.serialization import (
     ship_fragment,
 )
 from repro.indexes.idx import CFDIndex
+from repro.rulefuse import fused_violations
+
+from oracle import index_snapshot, naive_detect, row_violations
 
 
 @pytest.fixture
@@ -234,12 +237,17 @@ class TestKernels:
         CFD(["a"], "c", {"a": 77}),  # constant absent from the data
     ]
 
+    def _assert_matches_oracle(self, cols, rows):
+        # Each rule alone (a fused group of size 1), then the whole set
+        # (shared-LHS rules fused into one pass).
+        expected = [row_violations(cfd, list(rows)) for cfd in self.CFDS]
+        for cfd, want in zip(self.CFDS, expected):
+            assert fused_violations([cfd], cols) == [want], cfd.name
+        assert fused_violations(self.CFDS, cols) == expected
+
     def test_violations_match_row_backend(self, schema):
         rows = make_relation(schema, n=40)
-        store = column_store_of(rows.with_storage("columnar"))
-        for cfd in self.CFDS:
-            expected = CentralizedDetector.violations_of(cfd, list(rows))
-            assert kernels.violations_of(cfd, store) == expected, cfd.name
+        self._assert_matches_oracle(rows.with_storage("columnar"), rows)
 
     def test_violations_after_deletions(self, schema):
         rows = make_relation(schema, n=40)
@@ -247,10 +255,7 @@ class TestKernels:
         for tid in (0, 7, 13, 21):
             rows.delete(tid)
             cols.delete(tid)
-        store = column_store_of(cols)
-        for cfd in self.CFDS:
-            expected = CentralizedDetector.violations_of(cfd, list(rows))
-            assert kernels.violations_of(cfd, store) == expected, cfd.name
+        self._assert_matches_oracle(cols, rows)
 
     def test_bulk_index_build_matches_row_build(self, schema):
         rows = make_relation(schema, n=40)
@@ -262,7 +267,7 @@ class TestKernels:
             by_rows.build_from(list(rows))
             by_cols = CFDIndex(cfd)
             by_cols.build_from(cols)
-            assert dict(by_rows.groups()) == dict(by_cols.groups())
+            assert index_snapshot(by_rows) == index_snapshot(by_cols)
 
     def test_detector_dispatches_on_columnar_relations(self, schema):
         rows = make_relation(schema, n=40)
@@ -271,6 +276,7 @@ class TestKernels:
         assert (
             CentralizedDetector(cfds).detect(cols).as_dict()
             == CentralizedDetector(cfds).detect(rows).as_dict()
+            == naive_detect(cfds, rows).as_dict()
         )
 
 

@@ -15,6 +15,8 @@ from repro.workloads.rules import generate_cfds
 from repro.workloads.tpch import TPCHGenerator
 from repro.workloads.updates import generate_updates
 
+from oracle import index_classes
+
 
 @pytest.fixture
 def emp_horizontal(emp, emp_relation):
@@ -36,7 +38,7 @@ class TestSetup:
         detector = HorizontalIncrementalDetector(emp_horizontal, emp_cfds)
         # Site 1 hosts DH2 = {t3, t4}; both share CC=44, zip=EH4 8LE, street=Mayfield.
         index = detector.index_for("phi1", 1)
-        assert index.class_of((44, "EH4 8LE"), "Mayfield") == {3, 4}
+        assert index_classes(index, (44, "EH4 8LE")) == {"Mayfield": {3, 4}}
 
 
 class TestPaperExample:

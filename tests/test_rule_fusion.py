@@ -1,25 +1,45 @@
-"""Rule-fusion parity: fused compilation is invisible in the results.
+"""Rule-fusion parity: the fused rule path agrees with an independent oracle.
 
-Fused rule-set compilation (one sweep per same-LHS group instead of one
-per rule) is a pure local-work optimization: for every strategy — the
-full registry plus ``auto`` — on every storage backend (rows, columnar,
-sql) the fused paths must produce the identical violation set, identical
-ΔV and identical shipment counters as the per-rule paths, batch after
-batch, including across mid-stream scale and rebalance events.  The
-grouping itself is exercised by an 8-rule tableau sharing 3 LHS lists,
-and the SQL backend must additionally issue *fewer* queries when fused —
-the whole point of the shared tagged query per group.
+Fused rule-set compilation (one sweep per same-LHS group) is the only
+rule path; a rule whose LHS list no other rule shares is a group of
+size 1.  For every strategy — the full registry plus ``auto`` — on
+every storage backend (rows, columnar, sql) the violation set after
+setup, the violation set after each wave and each wave's ΔV must equal
+the deliberately naive per-rule oracle of ``tests/oracle.py``, including
+across mid-stream scale and rebalance events.  Matching dependencies
+have no fused path; their reference is the exhaustive pairwise MD
+detector.  Shipment-counter identity across backends is covered by
+``test_storage_parity`` and ``test_sql_parity``.
+
+The grouping itself is exercised by an 8-rule tableau sharing 3 LHS
+lists, the SQL backend must issue one query per group instead of one
+per rule, and a hypothesis suite checks the fused kernels of every
+backend group by group on generated rule sets that mix singleton and
+shared-LHS groups, constant and variable members, wildcards and pattern
+constants absent from the data.
 """
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.cfd import CFD, split_local_general
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.tuples import Tuple
 from repro.core.updates import Update, UpdateBatch
+from repro.core.violations import diff_violations
 from repro.engine.session import session
-from repro.rulefuse import compile_rule_set, n_fused_groups
+from repro.rulefuse import (
+    compile_rule_set,
+    fused_sql_violations,
+    fused_violations,
+    n_fused_groups,
+)
+from repro.similarity.detector import detect_md_violations
 from repro.similarity.md import MatchingDependency
 from repro.similarity.predicates import NormalizedStringMatch
 from repro.sqlstore.store import sql_store_of
@@ -27,14 +47,16 @@ from repro.workloads.rules import generate_cfds
 from repro.workloads.tpch import TPCHGenerator
 from repro.workloads.updates import generate_updates
 
+from oracle import naive_detect, row_violations
+
 SEED = 17
 N_BASE = 100
 N_UPDATES = 50
 N_CFDS = 6
 N_SITES = 3
 
-#: Every registered strategy (the MD detectors have no fused path — the
-#: session toggle must be a silent no-op for them) plus ``auto`` on both
+#: Every registered strategy (the MD detectors have no fused path and
+#: are checked against the exhaustive MD detector) plus ``auto`` on both
 #: partitionings.
 STRATEGIES = [
     ("incVer", "vertical"),
@@ -83,70 +105,67 @@ def mds():
     ]
 
 
-def run_strategy(
-    strategy, partitioning, storage, fusion, generator, relation, cfds, mds, updates
-):
+def reference(rules, tuples):
+    """The independent reference: the naive CFD oracle, or the exhaustive
+    (unblocked) pairwise detector for matching dependencies."""
+    if rules and isinstance(rules[0], MatchingDependency):
+        return detect_md_violations(rules, tuples, use_blocking=False)
+    return naive_detect(rules, tuples)
+
+
+def run_strategy(strategy, partitioning, storage, generator, relation, cfds, mds, updates):
     builder = session(relation)
     if partitioning == "vertical":
         builder = builder.partition(generator.vertical_partitioner(N_SITES))
     elif partitioning == "horizontal":
         builder = builder.partition(generator.horizontal_partitioner(N_SITES))
     rules = mds if strategy in ("md", "incMD") else cfds
-    sess = (
-        builder.rules(rules)
-        .strategy(strategy)
-        .storage(storage)
-        .rule_fusion(fusion)
-        .build()
-    )
+    sess = builder.rules(rules).strategy(strategy).storage(storage).build()
     delta = sess.apply(updates)
-    report = sess.report()
-    info = sess.explain()
     sess.close()
-    assert info["rule_fusion"]["enabled"] is fusion
     return {
         "initial": sess.initial_violations.as_dict(),
         "violations": sess.violations.as_dict(),
         "added": delta.added,
         "removed": delta.removed,
-        "messages": report.network.messages,
-        "bytes": report.network.bytes,
-        "units_by_kind": report.network.units_by_kind,
-        "bytes_by_kind": report.network.bytes_by_kind,
-        "messages_by_pair": report.network.messages_by_pair,
     }
 
 
 @pytest.fixture(scope="module")
-def per_rule_outcomes(generator, relation, cfds, mds, updates):
-    """Reference results with fusion switched off, per strategy × storage."""
-    return {
-        (strategy, partitioning, storage): run_strategy(
-            strategy, partitioning, storage, False,
-            generator, relation, cfds, mds, updates,
-        )
-        for strategy, partitioning in STRATEGIES
-        for storage in STORAGES
-    }
+def oracle_outcomes(relation, cfds, mds, updates):
+    """The reference outcome per rule language (CFDs, MDs)."""
+    final = updates.apply_to(relation)
+    out = {}
+    for kind, rules in (("cfd", cfds), ("md", mds)):
+        before = reference(rules, relation)
+        after = reference(rules, final)
+        delta = diff_violations(before, after)
+        out[kind] = {
+            "initial": before.as_dict(),
+            "violations": after.as_dict(),
+            "added": delta.added,
+            "removed": delta.removed,
+        }
+    return out
 
 
 class TestFusionParity:
     @pytest.mark.parametrize("storage", STORAGES)
     @pytest.mark.parametrize("strategy,partitioning", STRATEGIES)
     def test_fused_matches_per_rule(
-        self, strategy, partitioning, storage, per_rule_outcomes,
+        self, strategy, partitioning, storage, oracle_outcomes,
         generator, relation, cfds, mds, updates,
     ):
-        fused = run_strategy(
-            strategy, partitioning, storage, True,
-            generator, relation, cfds, mds, updates,
+        outcome = run_strategy(
+            strategy, partitioning, storage, generator, relation, cfds, mds, updates,
         )
-        expected = per_rule_outcomes[(strategy, partitioning, storage)]
-        assert fused == expected
+        kind = "md" if strategy in ("md", "incMD") else "cfd"
+        assert outcome == oracle_outcomes[kind]
 
-    def test_reference_outcomes_are_not_vacuous(self, per_rule_outcomes):
-        assert any(o["violations"] for o in per_rule_outcomes.values())
-        assert any(o["messages"] for o in per_rule_outcomes.values())
+    def test_reference_outcomes_are_not_vacuous(self, oracle_outcomes):
+        for outcome in oracle_outcomes.values():
+            assert outcome["violations"]
+        assert oracle_outcomes["cfd"]["added"] or oracle_outcomes["cfd"]["removed"]
 
 
 # -- mid-stream elasticity ----------------------------------------------------------------
@@ -186,15 +205,13 @@ def _delta_key(delta):
     )
 
 
-def run_waves(strategy, partitioning, storage, fusion, generator, relation, cfds, waves):
+def run_waves(strategy, partitioning, storage, generator, relation, cfds, waves):
     builder = session(relation)
     if partitioning == "vertical":
         builder = builder.partition(generator.vertical_partitioner(N_SITES))
     else:
         builder = builder.partition(generator.horizontal_partitioner(N_SITES))
-    sess = (
-        builder.rules(cfds).strategy(strategy).storage(storage).rule_fusion(fusion).build()
-    )
+    sess = builder.rules(cfds).strategy(strategy).storage(storage).build()
     records = []
     with sess:
         for i, wave in enumerate(waves):
@@ -205,10 +222,21 @@ def run_waves(strategy, partitioning, storage, fusion, generator, relation, cfds
                     sess.rebalance()
                 sess.scale(sites=SCALE_IN)
             delta = sess.apply(wave)
-            stats = sess.network.stats()
-            records.append(
-                (_delta_key(delta), _viol_key(sess.violations), stats.bytes, stats.messages)
-            )
+            records.append((_delta_key(delta), _viol_key(sess.violations)))
+    return records
+
+
+@pytest.fixture(scope="module")
+def oracle_waves(relation, cfds, waves):
+    """Per wave: the oracle's ΔV and violation set."""
+    records = []
+    current = relation
+    before = naive_detect(cfds, current)
+    for wave in waves:
+        current = wave.apply_to(current)
+        after = naive_detect(cfds, current)
+        records.append((_delta_key(diff_violations(before, after)), _viol_key(after)))
+        before = after
     return records
 
 
@@ -216,15 +244,11 @@ class TestFusionElasticityParity:
     @pytest.mark.parametrize("storage", ["rows", "columnar", "sql"])
     @pytest.mark.parametrize("strategy,partitioning", WAVE_STRATEGIES)
     def test_scaled_streams_stay_identical(
-        self, strategy, partitioning, storage, generator, relation, cfds, waves
+        self, strategy, partitioning, storage, generator, relation, cfds, waves,
+        oracle_waves,
     ):
-        fused = run_waves(
-            strategy, partitioning, storage, True, generator, relation, cfds, waves
-        )
-        plain = run_waves(
-            strategy, partitioning, storage, False, generator, relation, cfds, waves
-        )
-        assert fused == plain
+        records = run_waves(strategy, partitioning, storage, generator, relation, cfds, waves)
+        assert records == oracle_waves
 
 
 # -- shared-LHS tableau -------------------------------------------------------------------
@@ -305,26 +329,22 @@ class TestSharedLhsTableau:
     def test_tableau_parity_all_backends(
         self, storage, tableau_relation, tableau_cfds, tableau_updates
     ):
-        outcomes = {}
-        for fusion in (True, False):
-            sess = (
-                session(tableau_relation)
-                .partition("horizontal", n_fragments=N_SITES)
-                .rules(tableau_cfds)
-                .strategy("incHor")
-                .storage(storage)
-                .rule_fusion(fusion)
-                .build()
-            )
-            delta = sess.apply(tableau_updates)
-            outcomes[fusion] = (
-                sess.initial_violations.as_dict(),
-                sess.violations.as_dict(),
-                _delta_key(delta),
-                sess.network.stats().bytes,
-            )
-            sess.close()
-        assert outcomes[True] == outcomes[False]
+        sess = (
+            session(tableau_relation)
+            .partition("horizontal", n_fragments=N_SITES)
+            .rules(tableau_cfds)
+            .strategy("incHor")
+            .storage(storage)
+            .build()
+        )
+        delta = sess.apply(tableau_updates)
+        sess.close()
+        before = naive_detect(tableau_cfds, tableau_relation)
+        after = naive_detect(tableau_cfds, tableau_updates.apply_to(tableau_relation))
+        assert sess.initial_violations.as_dict() == before.as_dict()
+        assert sess.violations.as_dict() == after.as_dict()
+        assert _delta_key(delta) == _delta_key(diff_violations(before, after))
+        assert after.as_dict()
 
     def test_explain_reports_group_structure(
         self, tableau_relation, tableau_cfds, tableau_updates
@@ -340,7 +360,7 @@ class TestSharedLhsTableau:
         info = sess.explain()
         sess.close()
         fusion = info["rule_fusion"]
-        assert fusion["enabled"] is True
+        assert set(fusion) == {"n_groups", "groups"}
         assert fusion["n_groups"] == 3
         assert [g["lhs"] for g in fusion["groups"]] == [["a", "b"], ["a"], ["b", "c"]]
         assert sum(len(g["rules"]) for g in fusion["groups"]) == len(tableau_cfds)
@@ -350,28 +370,30 @@ class TestSharedLhsTableau:
     def test_fused_sql_issues_fewer_queries(
         self, tableau_relation, tableau_cfds, tableau_updates
     ):
-        counts = {}
-        for fusion in (True, False):
-            sess = (
-                session(tableau_relation)
-                .rules(tableau_cfds)
-                .strategy("centralized")
-                .storage("sql")
-                .rule_fusion(fusion)
-                .build()
-            )
-            sess.apply(tableau_updates)
-            stores = [
-                store
-                for store in [sql_store_of(sess.deployment.relation)]
-                if store is not None
-            ]
-            assert stores, "sql session must expose a SqlStore"
-            counts[fusion] = sum(store.query_count for store in stores)
-            violations = sess.violations.as_dict()
-            sess.close()
-            assert violations
-        assert counts[True] < counts[False]
+        sess = (
+            session(tableau_relation)
+            .rules(tableau_cfds)
+            .strategy("centralized")
+            .storage("sql")
+            .build()
+        )
+        sess.apply(tableau_updates)
+        store = sql_store_of(sess.deployment.relation)
+        assert store is not None, "sql session must expose a SqlStore"
+        violations = sess.violations.as_dict()
+        # One tagged query per fused group, against one query per rule
+        # when every rule is checked as a group of size 1.
+        before = store.query_count
+        fused = fused_sql_violations(store, tableau_cfds)
+        fused_queries = store.query_count - before
+        before = store.query_count
+        per_rule = [fused_sql_violations(store, [cfd])[0] for cfd in tableau_cfds]
+        per_rule_queries = store.query_count - before
+        sess.close()
+        assert violations
+        assert fused == per_rule
+        assert fused_queries == n_fused_groups(tableau_cfds) == 3
+        assert per_rule_queries == len(tableau_cfds)
 
     def test_stmt_cache_counters_in_explain(
         self, tableau_relation, tableau_cfds, tableau_updates
@@ -448,14 +470,115 @@ class TestPlannerGroupAwareness:
         from repro.planner.estimators import _n_scans
         from repro.stats.collector import StatsCatalog
 
-        fused = StatsCatalog.collect(
+        catalog = StatsCatalog.collect(
             tableau_relation, tableau_cfds, n_sites=N_SITES,
-            partitioning="horizontal", fusion=True,
+            partitioning="horizontal",
         )
-        plain = StatsCatalog.collect(
-            tableau_relation, tableau_cfds, n_sites=N_SITES,
-            partitioning="horizontal", fusion=False,
+        assert _n_scans(catalog) == 3
+        assert catalog.rules.n_rules == 8
+        # A hand-built profile without a group count prices one sweep
+        # per rule.
+        assert _n_scans(SimpleNamespace(rules=replace(catalog.rules, n_groups=0))) == 8
+
+
+# -- fused kernels vs the oracle, group by group ---------------------------------------------
+
+#: Schema and value domain of the generated cases.  The domain holds the
+#: value classes every backend already agrees on (strings, ints, None);
+#: bool and NaN equality is not yet one contract across backends
+#: (ROADMAP item 4) and is left to its own differential suite.
+GEN_SCHEMA = Schema("g", ["tid", "a", "b", "c", "d"], key="tid")
+GEN_VALUES = ["x", "y", 1, 2, None]
+#: A pattern constant no generated tuple carries: its rule can match
+#: nothing (the columnar "unsatisfiable" leg).
+ABSENT = "never-in-data"
+#: Few LHS lists, so generated rule sets mix singleton and shared groups.
+GEN_LHS = [("a",), ("a", "b"), ("b",), ("c", "d")]
+
+
+@st.composite
+def generated_rules(draw):
+    rules = []
+    for i in range(draw(st.integers(1, 6))):
+        lhs = draw(st.sampled_from(GEN_LHS))
+        rhs = draw(st.sampled_from([a for a in ("a", "b", "c", "d") if a not in lhs]))
+        constants = st.sampled_from([*GEN_VALUES, ABSENT])
+        pattern = {}
+        for a in lhs:
+            if draw(st.booleans()):
+                pattern[a] = draw(constants)
+        if draw(st.booleans()):
+            pattern[rhs] = draw(constants)
+        rules.append(CFD(lhs, rhs, pattern, name=f"r{i}"))
+    return rules
+
+
+@st.composite
+def generated_relations(draw):
+    rows = draw(
+        st.lists(
+            st.fixed_dictionaries({a: st.sampled_from(GEN_VALUES) for a in "abcd"}),
+            max_size=24,
         )
-        assert _n_scans(fused) == 3
-        assert _n_scans(plain) == 8
-        assert fused.rules.n_rules == plain.rules.n_rules == 8
+    )
+    return Relation(
+        GEN_SCHEMA, [Tuple(i, {"tid": i, **row}) for i, row in enumerate(rows)]
+    )
+
+
+def assert_fused_matches_oracle(cfds, relation):
+    """Every backend, whole set and group by group, equals the oracle."""
+    expected = [row_violations(cfd, relation) for cfd in cfds]
+    for storage in STORAGES:
+        backend = relation if storage == "rows" else relation.with_storage(storage)
+        try:
+            assert fused_violations(cfds, backend) == expected, storage
+            for group in compile_rule_set(cfds):
+                got = fused_violations(list(group.members), backend)
+                assert got == [expected[i] for i in group.indexes], (storage, group.lhs)
+        finally:
+            store = sql_store_of(backend)
+            if store is not None:
+                store.close()
+
+
+#: A fixed case covering every leg at once: two singleton groups (one
+#: variable, one constant), a shared-LHS group mixing a wildcard variable
+#: member, a constant member and a ``None`` pattern constant, and a
+#: singleton whose pattern constant never occurs.
+MIXED_CFDS = [
+    CFD(("c",), "d", {}, name="singleton_variable"),
+    CFD(("d",), "a", {"d": 2, "a": "x"}, name="singleton_constant"),
+    CFD(("a",), "c", {}, name="shared_wildcard"),
+    CFD(("a",), "b", {"a": "x", "b": "y"}, name="shared_constant"),
+    CFD(("a",), "d", {"a": None}, name="shared_none_pattern"),
+    CFD(("a", "b"), "c", {"a": ABSENT}, name="singleton_absent_constant"),
+]
+MIXED_RELATION = Relation(
+    GEN_SCHEMA,
+    [
+        Tuple(i, {"tid": i, "a": a, "b": b, "c": c, "d": d})
+        for i, (a, b, c, d) in enumerate(
+            [
+                ("x", "y", 1, 2),
+                ("x", "y", 2, 2),
+                ("x", 1, 1, None),
+                ("y", 1, None, None),
+                (None, "x", 1, 2),
+                (None, "x", 1, 1),
+            ]
+        )
+    ],
+)
+
+
+class TestFusedKernelsAgainstOracle:
+    @given(cfds=generated_rules(), relation=generated_relations())
+    @example(cfds=MIXED_CFDS, relation=MIXED_RELATION)
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_generated_rule_sets_match_oracle(self, cfds, relation):
+        assert_fused_matches_oracle(cfds, relation)

@@ -33,6 +33,9 @@ from repro.sqlstore import (
     kernels,
     sql_store_of,
 )
+from repro.rulefuse import fused_sql_violations
+
+from oracle import row_violations
 
 SCHEMA = Schema("R", ("k", "a", "b", "c"), key="k")
 
@@ -135,22 +138,10 @@ class TestDictSemantics:
         s.close()
 
 
-def row_violations(cfd, rows):
-    """The Python row oracle for one CFD (mirrors CentralizedDetector)."""
-    if cfd.is_constant():
-        return {t.tid for t in rows if cfd.single_tuple_violation(t)}
-    groups = {}
-    for t in rows:
-        if cfd.lhs_matches(t):
-            groups.setdefault(cfd.lhs_values(t), {}).setdefault(
-                t[cfd.rhs], set()
-            ).add(t.tid)
-    out = set()
-    for classes in groups.values():
-        if len(classes) > 1:
-            for tids in classes.values():
-                out |= tids
-    return out
+def pushed(cfd, store):
+    """``V(phi, D)`` for one rule pushed down as a fused group of size 1."""
+    (tids,) = fused_sql_violations(store, [cfd])
+    return tids
 
 
 PUSHDOWN_CFDS = [
@@ -165,7 +156,7 @@ PUSHDOWN_CFDS = [
 class TestPushdownParity:
     @pytest.mark.parametrize("cfd", PUSHDOWN_CFDS, ids=lambda c: c.name)
     def test_matches_row_oracle(self, store, rows, cfd):
-        assert kernels.violations_of(cfd, store) == row_violations(cfd, rows)
+        assert pushed(cfd, store) == row_violations(cfd, rows)
 
     def test_mixed_int_float_group_as_python_does(self):
         # Python dicts group 1 and 1.0 under one key (1 == 1.0); sqlite's
@@ -175,7 +166,7 @@ class TestPushdownParity:
             [tup("i", 1, "x", "p"), tup("f", 1.0, "y", "p"), tup("o", 2, "x", "p")],
         )
         cfd = CFD(("a",), "b", name="fd")
-        assert kernels.violations_of(cfd, s) == {"i", "f"}
+        assert pushed(cfd, s) == {"i", "f"}
         s.close()
 
     def test_text_never_equals_number(self):
@@ -183,7 +174,7 @@ class TestPushdownParity:
             SqlStore(SCHEMA),
             [tup("i", 1, "x", "p"), tup("s", "1", "y", "p")],
         )
-        assert kernels.violations_of(cfd := CFD(("a",), "b", name="fd"), s) == set()
+        assert pushed(cfd := CFD(("a",), "b", name="fd"), s) == set()
         assert row_violations(cfd, list(s)) == set()
         s.close()
 
@@ -193,14 +184,14 @@ class TestPushdownParity:
             SqlStore(SCHEMA),
             [tup("x", "a", None, "p"), tup("y", "a", "b0", "p")],
         )
-        assert kernels.violations_of(CFD(("a",), "b", name="fd"), s) == {"x", "y"}
+        assert pushed(CFD(("a",), "b", name="fd"), s) == {"x", "y"}
         s.close()
 
     def test_statement_cache_hits_on_repeat(self, store):
         cfd = CFD(("a",), "b", name="var")
-        kernels.violations_of(cfd, store)
+        pushed(cfd, store)
         before = store.statement_cache_info()
-        kernels.violations_of(cfd, store)
+        pushed(cfd, store)
         after = store.statement_cache_info()
         assert after["hits"] > before["hits"]
         assert after["misses"] == before["misses"]
@@ -302,5 +293,5 @@ class TestRegistry:
     def test_duckdb_pushdown_matches_row_oracle(self, rows):  # pragma: no cover
         store = fill(make_storage("duckdb", SCHEMA), rows)
         for cfd in PUSHDOWN_CFDS:
-            assert kernels.violations_of(cfd, store) == row_violations(cfd, rows)
+            assert pushed(cfd, store) == row_violations(cfd, rows)
         store.close()

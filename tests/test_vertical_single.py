@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.cfd import CFD
-from repro.core.detector import CentralizedDetector
 from repro.core.tuples import Tuple
 from repro.indexes.idx import CFDIndex
 from repro.vertical.single import incremental_delete, incremental_insert
+
+from oracle import index_classes, row_violations
 
 
 def t(tid, zip_="EH4", street="Mayfield", cc=44):
@@ -49,7 +50,7 @@ class TestInsert:
 
     def test_insert_maintains_index(self, index):
         incremental_insert(index, t(1))
-        assert index.class_of((44, "EH4"), "Mayfield") == {1}
+        assert index_classes(index, (44, "EH4")) == {"Mayfield": {1}}
 
     def test_paper_example_insert_t6(self, index):
         """Example 2(1): with t1..t5 indexed, inserting t6 adds only t6."""
@@ -136,5 +137,5 @@ class TestAgainstCentralizedDetector:
                 )
                 live[tid] = new
                 violations |= incremental_insert(index, new)
-            expected = CentralizedDetector.violations_of(phi1, live.values())
+            expected = row_violations(phi1, live.values())
             assert violations == expected
